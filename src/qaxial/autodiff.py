@@ -100,9 +100,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -309,6 +306,37 @@ def stack(tensors, axis: int = 0) -> Tensor:
                 t._accumulate(np.take(g, i, axis=axis))
 
     return _result(data, tuple(tensors), backward, "stack")
+
+
+def signed_blocks(tensors, table, axes) -> Tensor:
+    """Tile signed copies of equal-shaped tensors into a grid of blocks.
+
+    ``table[a][b] = (n, sign)`` puts ``sign * tensors[n]`` (sign +1.0 or -1.0)
+    at block (a, b), whose row and column indices become result axes
+    ``axes[0] < axes[1]``.  Backward adds up each tensor's signed block
+    gradients in table order.
+    """
+    first = tensors[0]
+    tensors = [_coerce(t, first) for t in tensors]
+    shape = list(first.shape)
+    shape.insert(axes[0], len(table))
+    shape.insert(axes[1], len(table[0]))
+    data = np.empty(shape, dtype=first.dtype)
+    placements = [[] for _ in tensors]
+    for a, row in enumerate(table):
+        for b, (n, sign) in enumerate(row):
+            index = [slice(None)] * len(shape)
+            index[axes[0]], index[axes[1]] = a, b
+            placements[n].append((tuple(index), sign))
+            np.multiply(tensors[n].data, sign, out=data[tuple(index)])
+
+    def backward(g):
+        for t, places in zip(tensors, placements):
+            if t.requires_grad:
+                parts = [sign * g[index] for index, sign in places]
+                t._accumulate(sum(parts[1:], parts[0]))
+
+    return _result(data, tuple(tensors), backward, "signed_blocks")
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

@@ -29,7 +29,7 @@ from .data import (
     write_per_class_manifest,
     synthetic_classification_dataset,
 )
-from .errors import QaxialError
+from .errors import ConfigurationError, QaxialError
 from .quaternion import QuaternionBank1x1, QuaternionConv2d
 from .recon import color_reconstruction_experiment
 from .training import (
@@ -58,8 +58,11 @@ def load_dataset(path: str):
         for item in filter(None, spec.split(",")):
             key, _, value = item.partition("=")
             if key not in params:
-                raise QaxialError(f"unknown synthetic dataset key {key!r}")
-            params[key] = int(value)
+                raise ConfigurationError(f"unknown synthetic dataset key {key!r}")
+            try:
+                params[key] = int(value)
+            except ValueError:
+                raise ConfigurationError(f"synthetic key {key!r}: {value!r} is not an integer")
         data = synthetic_classification_dataset(**params, split="train")
         held = synthetic_classification_dataset(
             params["classes"], max(1, params["per_class"] // 5),
@@ -80,6 +83,8 @@ def _model_spec(args, data=None) -> ArchitectureSpec:
         overrides["input_size"] = tuple(data.images.shape[1:])
     if getattr(args, "classes", None):
         overrides["num_classes"] = args.classes
+    if getattr(args, "size", None):
+        overrides["input_size"] = (3, args.size, args.size)
     return spec_for(args.variant, args.depth, heads=args.heads, **overrides)
 
 
@@ -96,16 +101,19 @@ def cmd_train(args) -> int:
     train_data, val_data = load_dataset(args.data)
     config = TrainConfig.from_text(Path(args.config).read_text()) \
         if args.config else TrainConfig()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.resume:
         model, optimizer, start_epoch = checkpoint_load(args.resume)
+        if model.spec.num_classes != train_data.class_count:
+            raise ConfigurationError(
+                f"checkpoint {args.resume} predicts {model.spec.num_classes} classes "
+                f"but {args.data} has {train_data.class_count}")
     else:
         model = build(_model_spec(args, train_data), seed=args.seed)
         optimizer = SGDMomentum(model.named_parameters(), config.momentum,
                                 config.weight_decay, config.decay_bn_params)
         start_epoch = 0
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     augment = None if args.no_augment else AugmentationPolicy()
     history = train(model, train_data, val_data, config, out_dir=out_dir,
                     augment=augment, optimizer=optimizer, start_epoch=start_epoch)
@@ -252,11 +260,6 @@ def cmd_grad_check(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = _model_spec(args)
-    if args.size:
-        spec = spec_for(args.variant, args.depth, heads=args.heads,
-                        input_size=(3, args.size, args.size),
-                        **({"width_scale": args.width_scale}
-                           if args.width_scale is not None else {}))
     model = build(spec, seed=args.seed).eval()
     x = Tensor(np.random.default_rng(0)
                .normal(size=(args.batch, *spec.input_size)).astype(np.float32))

@@ -53,9 +53,6 @@ class Module:
         self._buffers[name] = value
         object.__setattr__(self, name, value)
 
-    def add_module(self, name: str, module: "Module"):
-        setattr(self, name, module)
-
     def __call__(self, *args, **kwargs):
         out = self.forward(*args, **kwargs)
         if _trace_sink is not None and not self._children:
@@ -139,10 +136,6 @@ class ModuleList(Module):
         return x
 
 
-class Sequential(ModuleList):
-    pass
-
-
 def _he_normal(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32):
     std = math.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape).astype(dtype)
@@ -224,11 +217,6 @@ class MaxPool2d(Module):
 
     def forward(self, x):
         return ad.max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2x2(Module):
-    def forward(self, x):
-        return ad.avg_pool2d_2x2(x)
 
 
 class GlobalAvgPool(Module):

@@ -8,9 +8,10 @@ The left Hamilton product w * q is a linear map of q whose 4x4 matrix reuses
 the four components of w in a fixed sign pattern, so a quaternion convolution
 is exactly a real convolution with a structured weight tensor: each
 (output-group, input-group) block of the expanded weight holds only four
-independent values.  Layers below build that expansion with differentiable
-stack/negate ops, which makes each shared component's gradient the sum of the
-gradients over its four placements.
+independent values.  Layers below build that expansion with one
+differentiable op, :func:`~qaxial.autodiff.signed_blocks`, driven by the sign
+table ``_EXPANSION``; each shared component's gradient is the signed sum of
+the gradients over its four placements.
 """
 
 from __future__ import annotations
@@ -49,19 +50,8 @@ def hamilton_product(p: Quaternion, q: Quaternion) -> Quaternion:
     )
 
 
-def hamilton_matrix(w: Quaternion) -> np.ndarray:
-    """4x4 matrix M with M @ vec(q) == vec(w * q)."""
-    r, i, j, k = w.r, w.i, w.j, w.k
-    return np.array([
-        [r, -i, -j, -k],
-        [i, r, -k, j],
-        [j, k, r, -i],
-        [k, -j, i, r],
-    ], dtype=np.float64)
-
-
-# (component index, sign) of entry (a, b) in the expanded 4x4 block,
-# components ordered (r, i, j, k); mirrors hamilton_matrix exactly.
+# (component index, sign) of entry (a, b) of the 4x4 left-multiplication
+# matrix of w = (r, i, j, k); the only copy of the Hamilton sign pattern.
 _EXPANSION = (
     ((0, 1.0), (1, -1.0), (2, -1.0), (3, -1.0)),
     ((1, 1.0), (0, 1.0), (3, -1.0), (2, 1.0)),
@@ -70,20 +60,10 @@ _EXPANSION = (
 )
 
 
-def _expand_components(components) -> Tensor:
-    """Assemble [*dims] component tensors into the structured real weight.
-
-    ``components`` is the (r, i, j, k) tuple of Tensors shaped
-    [q_out, q_in, kh, kw]; result is [4*q_out, 4*q_in, kh, kw].
-    """
-    rows = []
-    for row_spec in _EXPANSION:
-        blocks = [components[c] if s > 0 else ad.neg(components[c])
-                  for c, s in row_spec]
-        rows.append(ad.stack(blocks, axis=2))  # [q_out, q_in, 4b, kh, kw]
-    expanded = ad.stack(rows, axis=1)          # [q_out, 4a, q_in, 4b, kh, kw]
-    q_out, _, q_in, _, kh, kw = expanded.shape
-    return ad.reshape(expanded, (4 * q_out, 4 * q_in, kh, kw))
+def hamilton_matrix(w: Quaternion) -> np.ndarray:
+    """4x4 matrix M with M @ vec(q) == vec(w * q)."""
+    comps = w.as_array()
+    return np.array([[sign * comps[c] for c, sign in row] for row in _EXPANSION])
 
 
 def quaternion_init(q_in: int, q_out: int, kh: int, kw: int,
@@ -146,7 +126,10 @@ class QuaternionConv2d(Module):
         return (self.w_r, self.w_i, self.w_j, self.w_k)
 
     def expanded_weight(self) -> Tensor:
-        return _expand_components(self.components())
+        """[4*q_out, 4*q_in, kh, kw] real weight built from the four components."""
+        blocks = ad.signed_blocks(self.components(), _EXPANSION, axes=(1, 3))
+        return ad.reshape(blocks, (self.out_channels, self.in_channels,
+                                   self.kernel_size, self.kernel_size))
 
     def forward(self, x):
         if x.shape[1] != self.in_channels:
@@ -185,12 +168,7 @@ class QuaternionBank1x1(Module):
 
     def group_matrices(self) -> Tensor:
         """Differentiable [groups, 4, 4] stack of Hamilton matrices."""
-        comps = self.components()
-        rows = []
-        for row_spec in _EXPANSION:
-            entries = [comps[c] if s > 0 else ad.neg(comps[c]) for c, s in row_spec]
-            rows.append(ad.stack(entries, axis=1))  # [G, 4b]
-        return ad.stack(rows, axis=1)               # [G, 4a, 4b]
+        return ad.signed_blocks(self.components(), _EXPANSION, axes=(1, 2))
 
     def forward(self, x):
         n, c, h, w = x.shape

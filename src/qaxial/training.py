@@ -76,7 +76,10 @@ class TrainConfig:
             key = key.strip()
             if key not in casts:
                 raise ConfigurationError(f"unknown config key {key!r}")
-            kwargs[key] = casts[key](raw.strip())
+            try:
+                kwargs[key] = casts[key](raw.strip())
+            except ValueError:
+                raise ConfigurationError(f"config key {key!r}: bad value {raw.strip()!r}")
         return cls(**kwargs)
 
 

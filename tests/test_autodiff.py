@@ -304,7 +304,7 @@ class TestGradCheckOracle:
 
         assert grad_check(f, [rand(shape, 5), rand(shape, 6)]) < 1e-4
 
-    @pytest.mark.parametrize("op", ["matmul", "softmax", "stack", "take"])
+    @pytest.mark.parametrize("op", ["matmul", "softmax", "stack", "take", "signed_blocks"])
     def test_structural_ops(self, op):
         if op == "matmul":
             def f(a, b):
@@ -318,6 +318,13 @@ class TestGradCheckOracle:
             def f(a, b):
                 return ad.stack([a, ad.neg(b), a], axis=1).sum()
             inputs = [rand((2, 3), 3), rand((2, 3), 4)]
+        elif op == "signed_blocks":
+            table = (((0, 1.0), (1, -1.0)), ((1, 1.0), (0, -1.0)), ((0, -1.0), (0, 1.0)))
+            proj = rand((2, 3, 3, 2), 6).data
+
+            def f(a, b):
+                return (ad.signed_blocks([a, b], table, axes=(1, 3)) * proj).sum()
+            inputs = [rand((2, 3), 3), rand((2, 3), 4)]
         else:
             idx = np.array([0, 2, 2, 1])
 
@@ -325,6 +332,16 @@ class TestGradCheckOracle:
                 return (ad.take_rows(a, idx) * ad.take_rows(a, idx)).sum()
             inputs = [rand((3, 4), 5)]
         assert grad_check(f, inputs) < 1e-6
+
+
+def test_signed_blocks_places_signed_copies():
+    a, b = rand((2, 5), 0), rand((2, 5), 1)
+    table = (((0, 1.0), (1, -1.0), (1, 1.0)), ((1, 1.0), (0, -1.0), (0, 1.0)))
+    out = ad.signed_blocks([a, b], table, axes=(0, 2)).data
+    assert out.shape == (2, 2, 3, 5)
+    for r, row in enumerate(table):
+        for c, (n, sign) in enumerate(row):
+            npt.assert_array_equal(out[r, :, c], sign * (a, b)[n].data)
 
 
 class TestDebugChecks:

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from qaxial.cli import main, run_grad_check_suite
-from qaxial.training import TrainConfig, TrainHistory, checkpoint_load, evaluate
+from qaxial.training import (
+    SGDMomentum,
+    TrainConfig,
+    TrainHistory,
+    checkpoint_load,
+    checkpoint_save,
+    evaluate,
+)
+from qaxial.zoo import build, spec_for
 from qaxial.data import synthetic_classification_dataset, encode_cifar_records
 
 SMOKE_DATA = "synthetic://classes=4,per_class=8,size=32,seed=0"
@@ -42,6 +50,39 @@ class TestUsageErrors:
                      "--data", SMOKE_DATA])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestBadInputs:
+    def test_non_integer_synthetic_value_exits_1(self, tmp_path, capsys):
+        code = main(["train", "--variant", "resnet", "--data", "synthetic://classes=x",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'classes'" in err
+
+    def test_bad_config_value_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = many\n")
+        code = main(["train", "--variant", "resnet", "--data", SMOKE_DATA,
+                     "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'epochs'" in err
+
+    def test_resume_with_other_class_count_exits_1(self, tmp_path, capsys):
+        spec = spec_for("resnet", 26, width_scale=0.25, num_classes=2,
+                        input_size=(3, 32, 32))
+        model = build(spec, seed=0)
+        checkpoint = tmp_path / "two_class.qx"
+        checkpoint_save(checkpoint, model, SGDMomentum(model.named_parameters()), 0)
+        out_dir = tmp_path / "run"
+        code = main(["train", "--variant", "resnet", "--resume", str(checkpoint),
+                     "--data", "synthetic://classes=10,per_class=2,size=32,seed=0",
+                     "--config", str(smoke_config(tmp_path)), "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2 classes" in err and "10" in err
+        assert not out_dir.exists()  # rejected before any training
 
 
 class TestGradCheckCommand:

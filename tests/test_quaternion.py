@@ -191,6 +191,31 @@ class TestQuaternionBank:
         assert err < 1e-4
 
 
+def _tape_ops(out):
+    """Names of the op nodes recorded on the tape below ``out``."""
+    ops, seen, todo = [], set(), [out]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen or node._backward_fn is None:
+            continue
+        seen.add(id(node))
+        ops.append(node._backward_fn.__qualname__.split(".")[0])
+        todo.extend(node._parents)
+    return ops
+
+
+class TestExpansionTape:
+    def test_conv_weight_is_one_expansion_and_a_reshape(self):
+        ops = _tape_ops(QuaternionConv2d(8, 12, 3).expanded_weight())
+        assert len(ops) <= 2
+        assert not {"neg", "stack"} & set(ops)
+
+    def test_bank_matrices_are_one_op(self):
+        ops = _tape_ops(QuaternionBank1x1(8).group_matrices())
+        assert len(ops) <= 1
+        assert not {"neg", "stack"} & set(ops)
+
+
 class TestQuaternionInit:
     def test_deterministic_under_seed(self):
         a = quaternion_init(16, 16, 3, 3, seed=42)

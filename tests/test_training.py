@@ -72,6 +72,11 @@ class TestSchedule:
                              seed=3, decay_bn_params=True)
         assert TrainConfig.from_text(config.to_text()) == config
 
+    @pytest.mark.parametrize("line", ["epochs = many", "decay_epochs = 5,x", "base_lr ="])
+    def test_config_text_bad_value_names_key(self, line):
+        with pytest.raises(ConfigurationError, match=line.split()[0]):
+            TrainConfig.from_text(line)
+
 
 class TestSgdStep:
     def test_zero_momentum_is_plain_gradient_descent(self):
