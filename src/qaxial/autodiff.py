@@ -25,6 +25,7 @@ from .errors import (
     ContractError,
     DegenerateBatchError,
     GraphStateError,
+    LabelError,
     NumericsError,
     OracleError,
     ShapeError,
@@ -624,7 +625,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
     n, k = logits.shape
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
-        raise IndexError(f"labels must lie in [0, {k})")
+        raise LabelError(f"labels must lie in [0, {k})")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
@@ -671,7 +672,11 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    # pop rather than iterate: once a node has passed its gradient on, the
+    # list holds its last reference, so its data and gradient are freed
+    # here instead of when the whole pass returns
+    while topo:
+        node = topo.pop()
         fn = node._backward_fn
         if fn is not None and node.grad is not None:
             fn(node.grad)

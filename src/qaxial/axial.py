@@ -10,6 +10,18 @@ where rq/rk/rv are learned relative-position embeddings shared across heads.
 Head outputs are concatenated and passed through an output projection, so the
 channel count is preserved.
 
+The content terms q.k and weights.v are GEMMs batched over (batch, head).
+The relative terms are GEMMs batched over one sequence position instead,
+because the gathered table rq/rk/rv[o, p] differs per position while the
+B*heads rows that use it share it (w = softmax(logits)):
+
+    q_o . rq[o, p]    [L_o, B*h, dim] @ [L_o, dim, L_p] -> [L_o, B*h, L_p]
+    k_p . rk[o, p]    [L_p, B*h, dim] @ [L_p, dim, L_o] -> [L_p, B*h, L_o]
+    w[o, p] rv[o, p]  [L_o, B*h, L_p] @ [L_o, L_p, dim] -> [L_o, B*h, dim]
+
+Transposes move these position-major results into and out of the
+[B*h, L_o, L_p] logits; no [B, h, L, L, dim] broadcast is ever formed.
+
 Heads are half width: the per-head dim is C // (2*heads), floored at one
 channel.  Together with the output projection this prices one 1-D layer at
 2*C^2 projection weights, which is what reproduces the published model sizes
@@ -68,10 +80,11 @@ class AxialAttention1D(Module):
         self.register_buffer(
             "rel_index", (pos[None, :] - pos[:, None] + span - 1).reshape(-1))
 
-    def _split_heads(self, projected, bsz):
-        # [B, heads*dim, L] -> [B, heads, L, dim]
-        t = ad.reshape(projected, (bsz, self.heads, self.dim, self.span))
-        return ad.transpose(t, (0, 1, 3, 2))
+    def _split_heads(self, projected):
+        # [B, heads*dim, L] -> [B*heads, L, dim]
+        rows = projected.shape[0] * self.heads
+        t = ad.reshape(projected, (rows, self.dim, self.span))
+        return ad.transpose(t, (0, 2, 1))
 
     def forward(self, x: Tensor) -> Tensor:
         bsz, channels, span = x.shape
@@ -79,31 +92,30 @@ class AxialAttention1D(Module):
             raise ConfigurationError(
                 f"layer configured for [{self.channels}, {self.span}], "
                 f"got input [{channels}, {span}]")
-        q = self._split_heads(ad.matmul(self.w_q, x), bsz)
-        k = self._split_heads(ad.matmul(self.w_k, x), bsz)
-        v = self._split_heads(ad.matmul(self.w_v, x), bsz)
+        q = self._split_heads(ad.matmul(self.w_q, x))
+        k = self._split_heads(ad.matmul(self.w_k, x))
+        v = self._split_heads(ad.matmul(self.w_v, x))
 
-        logits = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))  # [B, h, L, L]
+        logits = ad.matmul(q, ad.transpose(k, (0, 2, 1)))  # [B*h, o, p]
         if self.positional:
-            shape = (span, span, self.dim)
+            shape = (span, span, self.dim)  # [o, p, dim]
             rq = ad.reshape(ad.take_rows(self.r_q, self.rel_index), shape)
             rk = ad.reshape(ad.take_rows(self.r_k, self.rel_index), shape)
             rv = ad.reshape(ad.take_rows(self.r_v, self.rel_index), shape)
-            # q_o . rq[p-o]: per-query matvec against the [L, dim, L] table
-            q_rows = ad.reshape(q, (bsz, self.heads, span, 1, self.dim))
-            qr = ad.matmul(q_rows, ad.transpose(rq, (0, 2, 1)))
-            logits = logits + ad.reshape(qr, (bsz, self.heads, span, span))
-            # k_p . rk[p-o]: key index and table column walk together
-            k_rows = ad.reshape(k, (bsz, self.heads, 1, span, self.dim))
-            logits = logits + (k_rows * rk).sum(axis=-1)
+            # q_o . rq[o, p]: [o, B*h, dim] @ [o, dim, p] -> [o, B*h, p]
+            qr = ad.matmul(ad.transpose(q, (1, 0, 2)), ad.transpose(rq, (0, 2, 1)))
+            # k_p . rk[o, p]: [p, B*h, dim] @ [p, dim, o] -> [p, B*h, o]
+            kr = ad.matmul(ad.transpose(k, (1, 0, 2)), ad.transpose(rk, (1, 2, 0)))
+            logits = (logits + ad.transpose(qr, (1, 0, 2))
+                      + ad.transpose(kr, (1, 2, 0)))
 
         weights = ad.softmax(logits, axis=-1)
-        out = ad.matmul(weights, v)  # [B, h, L, dim]
+        out = ad.matmul(weights, v)  # [B*h, o, dim]
         if self.positional:
-            w_rows = ad.reshape(weights, (bsz, self.heads, span, 1, span))
-            out = out + ad.reshape(ad.matmul(w_rows, rv),
-                                   (bsz, self.heads, span, self.dim))
-        merged = ad.reshape(ad.transpose(out, (0, 1, 3, 2)),
+            # w[o] @ rv[o]: [o, B*h, p] @ [o, p, dim] -> [o, B*h, dim]
+            wr = ad.matmul(ad.transpose(weights, (1, 0, 2)), rv)
+            out = out + ad.transpose(wr, (1, 0, 2))
+        merged = ad.reshape(ad.transpose(out, (0, 2, 1)),
                             (bsz, self.heads * self.dim, span))
         return ad.matmul(self.w_out, merged)
 

@@ -48,3 +48,7 @@ class TrainingDivergedError(QaxialError, RuntimeError):
 
 class DataFormatError(QaxialError, ValueError):
     """An on-disk dataset or image file does not match its format."""
+
+
+class LabelError(QaxialError, IndexError):
+    """A class label lies outside the model's class range."""

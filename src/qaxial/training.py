@@ -28,6 +28,16 @@ from .errors import (
 from .zoo import Model, spec_from_text, spec_to_text
 
 
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_flag(text: str) -> bool:
+    try:
+        return _FLAGS[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 150
@@ -66,7 +76,7 @@ class TrainConfig:
             "base_lr": float, "decay_factor": float, "momentum": float,
             "weight_decay": float,
             "decay_epochs": lambda v: tuple(int(x) for x in v.split(",") if x),
-            "decay_bn_params": lambda v: v.lower() in ("1", "true", "yes"),
+            "decay_bn_params": _parse_flag,
         }
         for line in text.splitlines():
             line = line.strip()

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +14,7 @@ from qaxial.errors import (
     DegenerateBatchError,
     GraphStateError,
     NumericsError,
+    QaxialError,
     ShapeError,
 )
 
@@ -181,6 +183,8 @@ class TestElementwiseAndReductions:
     def test_cross_entropy_label_out_of_range(self):
         with pytest.raises(IndexError):
             ad.cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+        with pytest.raises(QaxialError, match=r"\[0, 3\)"):
+            ad.cross_entropy(Tensor(np.zeros((2, 3))), [-1, 0])
 
     def test_reshape_round_trip_identity(self):
         rng = np.random.default_rng(12)
@@ -229,6 +233,28 @@ class TestBackward:
         backward(y.sum())
         with pytest.raises(GraphStateError):
             backward((y * 2.0).sum())
+
+    def test_backward_frees_intermediates_as_it_goes(self):
+        # a chain of 20 muls: every node's data and gradient is one array.
+        # Freed as the pass walks back, the pass adds a few arrays to what
+        # the forward holds; kept to the end, it would add all 20 gradients.
+        x = Tensor(np.ones(100_000), requires_grad=True)
+        array_bytes = x.data.nbytes
+        tracemalloc.start()
+        try:
+            y = x
+            for _ in range(20):
+                y = y * 1.0
+            loss = y.sum()
+            del y
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 5 * array_bytes
+        npt.assert_array_equal(x.grad, np.ones(100_000))
 
     def test_composite_network_gradient(self):
         """conv -> bn -> relu -> pool -> linear -> cross_entropy chain."""

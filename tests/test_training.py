@@ -67,12 +67,19 @@ class TestSchedule:
         with pytest.raises(ConfigurationError):
             TrainConfig(warmup_epochs=30)
 
+    @pytest.mark.parametrize("raw,want", [("1", True), ("TRUE", True), ("yes", True),
+                                          ("0", False), ("False", False), ("No", False)])
+    def test_config_text_decay_bn_params_flags(self, raw, want):
+        config = TrainConfig.from_text(f"decay_bn_params = {raw}")
+        assert config.decay_bn_params is want
+
     def test_config_text_round_trip(self):
         config = TrainConfig(epochs=50, decay_epochs=(5, 9), warmup_epochs=2,
                              seed=3, decay_bn_params=True)
         assert TrainConfig.from_text(config.to_text()) == config
 
-    @pytest.mark.parametrize("line", ["epochs = many", "decay_epochs = 5,x", "base_lr ="])
+    @pytest.mark.parametrize("line", ["epochs = many", "decay_epochs = 5,x", "base_lr =",
+                                      "decay_bn_params = on", "decay_bn_params = maybe"])
     def test_config_text_bad_value_names_key(self, line):
         with pytest.raises(ConfigurationError, match=line.split()[0]):
             TrainConfig.from_text(line)
