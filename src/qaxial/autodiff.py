@@ -457,19 +457,23 @@ def _im2col(x: np.ndarray, kh, kw, stride, padding):
     windows = np.lib.stride_tricks.as_strided(
         x, shape=(n, c, ho, wo, kh, kw),
         strides=(sn, sc, sh * stride, sw * stride, sh, sw), writeable=False)
-    # [N, C*kh*kw, Ho*Wo], kernel dims ordered (c, ky, kx) to match weight layout
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo), ho, wo
+    # [C*kh*kw, N*Ho*Wo]: rows ordered (c, ky, kx) to match the weight layout,
+    # columns (n, ho, wo), so the whole batch is one GEMM operand
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * ho * wo)
+    return cols, ho, wo
 
 
 def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding):
+    """Scatter-add [C*kh*kw, N*Ho*Wo] columns back onto an [N, C, H, W] input."""
     n, c, h, w = x_shape
     ho, wo = _conv_geometry(h, w, kh, kw, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
     out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, ho, wo)
+    out_cn = out.transpose(1, 0, 2, 3)
+    cols = cols.reshape(c, kh, kw, n, ho, wo)
     for ky in range(kh):
         for kx in range(kw):
-            out[:, :, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride] += cols[:, :, ky, kx]
+            out_cn[:, :, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride] += cols[:, ky, kx]
     if padding:
         out = out[:, :, padding:padding + h, padding:padding + w]
     return out
@@ -477,29 +481,35 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding):
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation over [N,Cin,H,W] with weight [Cout,Cin,kh,kw]."""
+    """2-D cross-correlation over [N,Cin,H,W] with weight [Cout,Cin,kh,kw].
+
+    The batch folds into the im2col columns, [Cin*kh*kw, N*Ho*Wo], so the
+    forward, the weight gradient and the input gradient are one GEMM each:
+    wmat @ cols, gmat @ cols.T and wmat.T @ gmat, with gmat the output
+    gradient as [Cout, N*Ho*Wo].
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weight")
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
         raise ShapeError(f"conv2d: input has {cin} channels, weight expects {cin_w}")
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError("conv2d bias must have shape (Cout,)")
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = np.matmul(wmat, cols).reshape(n, cout, ho, wo)
+    out = wmat @ cols
     if bias is not None:
-        if bias.shape != (cout,):
-            raise ShapeError("conv2d bias must have shape (Cout,)")
-        out = out + bias.data.reshape(1, cout, 1, 1)
+        out = out + bias.data[:, None]
+    # [Cout, N, Ho, Wo] -> [N, Cout, Ho, Wo]; no copy at N = 1
+    out = np.ascontiguousarray(out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
 
     def backward(g):
-        gmat = g.reshape(n, cout, ho * wo)
+        gmat = g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
         if weight.requires_grad:
-            gw = np.einsum("nol,nkl->ok", gmat, cols).reshape(weight.shape)
-            weight._accumulate(gw)
+            weight._accumulate((gmat @ cols.T).reshape(weight.shape))
         if x.requires_grad:
-            gcols = np.matmul(wmat.T, gmat)
-            x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, padding))
+            x._accumulate(_col2im(wmat.T @ gmat, x.shape, kh, kw, stride, padding))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 

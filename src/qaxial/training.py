@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -341,9 +342,20 @@ def checkpoint_save(path, model: Model, optimizer: SGDMomentum, epoch: int) -> N
     for name, arr in entries:
         _write_tensor(buf, name, arr)
     payload = buf.getvalue()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(_checksum(payload))
+    # write beside the target and swap it in, so a crash leaves the previous
+    # checkpoint whole
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.write(_checksum(payload))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def checkpoint_load(path):
@@ -376,28 +388,32 @@ def checkpoint_load(path):
     model = Model(spec, seed=0)
 
     (count,) = reader.unpack("<I")
-    tensors = dict(_read_tensor(reader) for _ in range(count))
-    params = dict(model.named_parameters())
-    for name, p in params.items():
-        key = "param/" + name
-        if key not in tensors or tensors[key].shape != p.data.shape:
+    tensors = {}
+    for _ in range(count):
+        key, arr = _read_tensor(reader)
+        if key in tensors:
+            raise CheckpointIntegrityError(f"duplicate tensor {key}")
+        tensors[key] = arr
+
+    def take(key, shape):
+        arr = tensors.pop(key, None)
+        if arr is None or arr.shape != shape:
             raise CheckpointIntegrityError(f"missing or misshapen tensor {key}")
-        p.data = np.ascontiguousarray(tensors[key])
+        return np.ascontiguousarray(arr)
+
+    for name, p in model.named_parameters():
+        p.data = take("param/" + name, p.data.shape)
     for name, mod in model.named_modules():
-        for bname in list(mod._buffers):
+        for bname, buf in list(mod._buffers.items()):
             full = f"{name}.{bname}" if name else bname
-            key = "buffer/" + full
-            if key not in tensors:
-                raise CheckpointIntegrityError(f"missing buffer {key}")
-            mod.register_buffer(bname, np.ascontiguousarray(tensors[key]))
+            mod.register_buffer(bname, take("buffer/" + full, buf.shape))
 
     optimizer = SGDMomentum(model.named_parameters(),
                             momentum=float(meta["momentum"]),
                             weight_decay=float(meta["weight_decay"]),
                             decay_bn_params=meta["decay_bn_params"] == "True")
-    for name in optimizer.velocity:
-        key = "vel/" + name
-        if key not in tensors:
-            raise CheckpointIntegrityError(f"missing velocity {key}")
-        optimizer.velocity[name] = np.ascontiguousarray(tensors[key])
+    for name, vel in optimizer.velocity.items():
+        optimizer.velocity[name] = take("vel/" + name, vel.shape)
+    if tensors:
+        raise CheckpointIntegrityError(f"unexpected tensor {min(tensors)}")
     return model, optimizer, int(meta["epoch"])

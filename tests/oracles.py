@@ -34,6 +34,36 @@ def naive_conv2d(x, w, b=None, stride=1, padding=0):
     return out
 
 
+def naive_conv2d_grads(x, w, g, stride=1, padding=0):
+    """Input, weight and bias gradients of a cross-correlation, by direct loops.
+
+    ``g`` is the output gradient [N,Cout,Ho,Wo].  Each output element sends
+    g * w back to the input pixel it read and g * x to the kernel tap that
+    read it; taps that fall in the zero padding send nothing to the input.
+    """
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    _, _, ho, wo = g.shape
+    gx = np.zeros((n, cin, h, wd), dtype=np.float64)
+    gw = np.zeros((cout, cin, kh, kw), dtype=np.float64)
+    gb = np.zeros(cout, dtype=np.float64)
+    for ni in range(n):
+        for co in range(cout):
+            for oy in range(ho):
+                for ox in range(wo):
+                    go = g[ni, co, oy, ox]
+                    gb[co] += go
+                    for ci in range(cin):
+                        for ky in range(kh):
+                            for kx in range(kw):
+                                iy = oy * stride + ky - padding
+                                ix = ox * stride + kx - padding
+                                if 0 <= iy < h and 0 <= ix < wd:
+                                    gx[ni, ci, iy, ix] += go * w[co, ci, ky, kx]
+                                    gw[co, ci, ky, kx] += go * x[ni, ci, iy, ix]
+    return gx, gw, gb
+
+
 # Quaternion unit multiplication table: e_a * e_b = sign * e_index,
 # units ordered (1, i, j, k).  This is the defining algebra, not the
 # package's expansion pattern.

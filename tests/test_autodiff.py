@@ -18,7 +18,7 @@ from qaxial.errors import (
     ShapeError,
 )
 
-from oracles import naive_conv2d
+from oracles import naive_conv2d, naive_conv2d_grads
 
 
 def rand(shape, seed, dtype=np.float64, scale=1.0):
@@ -92,6 +92,21 @@ class TestConv2d:
 
         err = grad_check(f, [rand(xshape, 30), rand(wshape, 31)])
         assert err < 1e-4
+
+    def test_gradients_match_loop_oracle_at_batch_3(self):
+        """Batch 3 against 3x4 output maps: a batch/spatial mix-up cannot hide."""
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(3, 2, 5, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        out = ad.conv2d(x, w, b, stride=2, padding=1)
+        assert out.shape == (3, 4, 3, 4)
+        g = rng.normal(size=out.shape)
+        backward((out * Tensor(g)).sum())
+        gx, gw, gb = naive_conv2d_grads(x.data, w.data, g, stride=2, padding=1)
+        npt.assert_allclose(x.grad, gx, rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(w.grad, gw, rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(b.grad, gb, rtol=1e-10, atol=1e-12)
 
 
 class TestBatchNorm:

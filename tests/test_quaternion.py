@@ -130,6 +130,19 @@ class TestQuaternionConv2d:
         err = grad_check(f, list(layer0.components()))
         assert err < 1e-4
 
+    def test_gradients_at_batch_3(self):
+        proj = Tensor(np.random.default_rng(11).normal(size=(3, 8, 3, 3)))
+
+        def f(x, wr, wi, wj, wk):
+            layer = QuaternionConv2d(4, 8, 3, stride=2, padding=1)
+            layer.w_r, layer.w_i, layer.w_j, layer.w_k = wr, wi, wj, wk
+            return (layer(x) * proj).sum()
+
+        layer0 = QuaternionConv2d(4, 8, 3, rng=np.random.default_rng(12))
+        x = np.random.default_rng(13).normal(size=(3, 4, 5, 6))
+        err = grad_check(f, [x] + list(layer0.components()))
+        assert err < 1e-4
+
     def test_wrong_channel_count_raises(self):
         layer = QuaternionConv2d(8, 8, 1)
         with pytest.raises(ShapeError):

@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from qaxial import autodiff as ad
+from qaxial import training
 from qaxial.autodiff import Tensor
 from qaxial.data import Dataset, synthetic_classification_dataset
 from qaxial.errors import (
@@ -307,6 +311,71 @@ class TestCheckpoint:
         bad.write_bytes(path.read_bytes()[:100])
         with pytest.raises(CheckpointIntegrityError):
             checkpoint_load(bad)
+
+    def test_failed_replace_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model, opt, _, _ = self._trained(tmp_path)
+        path = tmp_path / "model.qx"
+        checkpoint_save(path, model, opt, epoch=1)
+        before = path.read_bytes()
+        saved = [p.data.copy() for _, p in model.named_parameters()]
+        for _, p in model.named_parameters():
+            p.data += 1.0
+
+        written = []
+
+        def crash(src, dst):
+            written.append(Path(src).stat().st_size)
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(training.os, "replace", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            checkpoint_save(path, model, opt, epoch=2)
+        monkeypatch.undo()
+        assert written == [len(before)]
+        assert path.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["model.qx"]
+        loaded, _, epoch = checkpoint_load(path)
+        assert epoch == 1
+        for want, (name, p) in zip(saved, loaded.named_parameters()):
+            npt.assert_array_equal(p.data, want, err_msg=name)
+
+    def test_misshapen_buffer_is_rejected(self, tmp_path):
+        model, opt, _, _ = self._trained(tmp_path)
+        name, mod = next((n, m) for n, m in model.named_modules() if m._buffers)
+        bname, buf = next(iter(mod._buffers.items()))
+        mod.register_buffer(bname, np.zeros(buf.size + 1, dtype=buf.dtype))
+        path = tmp_path / "model.qx"
+        checkpoint_save(path, model, opt, epoch=1)
+        key = "buffer/" + (f"{name}.{bname}" if name else bname)
+        with pytest.raises(CheckpointIntegrityError, match=re.escape(key)):
+            checkpoint_load(path)
+
+    def test_misshapen_velocity_is_rejected(self, tmp_path):
+        model, opt, _, _ = self._trained(tmp_path)
+        name, vel = next(iter(opt.velocity.items()))
+        opt.velocity[name] = np.zeros(vel.shape + (2,), dtype=vel.dtype)
+        path = tmp_path / "model.qx"
+        checkpoint_save(path, model, opt, epoch=1)
+        with pytest.raises(CheckpointIntegrityError, match=re.escape("vel/" + name)):
+            checkpoint_load(path)
+
+    def test_unconsumed_entry_is_rejected(self, tmp_path):
+        model, opt, _, _ = self._trained(tmp_path)
+        opt.velocity["ghost.weight"] = np.zeros(3, dtype=np.float32)
+        path = tmp_path / "model.qx"
+        checkpoint_save(path, model, opt, epoch=1)
+        with pytest.raises(CheckpointIntegrityError, match="vel/ghost.weight"):
+            checkpoint_load(path)
+
+    def test_duplicate_entry_is_rejected(self, tmp_path, monkeypatch):
+        model, opt, _, _ = self._trained(tmp_path)
+        params = list(model.named_parameters())
+        monkeypatch.setattr(model, "named_parameters", lambda: params + params[:1])
+        path = tmp_path / "model.qx"
+        checkpoint_save(path, model, opt, epoch=1)
+        with pytest.raises(CheckpointIntegrityError,
+                           match=re.escape("duplicate tensor param/" + params[0][0])):
+            checkpoint_load(path)
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         config = TrainConfig(epochs=2, batch_size=6, base_lr=0.01,
