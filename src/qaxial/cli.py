@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import fields
 from .autodiff import Tensor, grad_check
 from .axial import (
     AxialAttention1D,
@@ -35,6 +36,7 @@ from .recon import color_reconstruction_experiment
 from .training import (
     SGDMomentum,
     TrainConfig,
+    TrainHistory,
     checkpoint_load,
     evaluate,
     train,
@@ -53,16 +55,9 @@ GRAD_CHECK_THRESHOLD = 1e-4
 def load_dataset(path: str):
     """CIFAR-10 batch directory, directory of .ppm files, or synthetic://."""
     if path.startswith("synthetic://"):
-        params = {"classes": 10, "per_class": 50, "size": 32, "seed": 0}
-        spec = path[len("synthetic://"):]
-        for item in filter(None, spec.split(",")):
-            key, _, value = item.partition("=")
-            if key not in params:
-                raise ConfigurationError(f"unknown synthetic dataset key {key!r}")
-            try:
-                params[key] = int(value)
-            except ValueError:
-                raise ConfigurationError(f"synthetic key {key!r}: {value!r} is not an integer")
+        defaults = {"classes": 10, "per_class": 50, "size": 32, "seed": 0}
+        spec = path[len("synthetic://"):].replace(",", "\n")
+        params = fields.read(spec, dict.fromkeys(defaults, int), defaults)
         data = synthetic_classification_dataset(**params, split="train")
         held = synthetic_classification_dataset(
             params["classes"], max(1, params["per_class"] // 5),
@@ -115,14 +110,18 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     augment = None if args.no_augment else AugmentationPolicy()
+    history_path = out_dir / "history.csv"
+    earlier = TrainHistory.from_csv(history_path.read_text()).records \
+        if start_epoch and history_path.exists() else []
     history = train(model, train_data, val_data, config, out_dir=out_dir,
                     augment=augment, optimizer=optimizer, start_epoch=start_epoch)
-    (out_dir / "history.csv").write_text(history.to_csv())
+    history.records[:0] = [r for r in earlier if r.epoch < start_epoch]  # not replayed
+    history_path.write_text(history.to_csv())
     if history.records:
         last = history.records[-1]
         print(f"epoch {last.epoch}: train_loss {last.train_loss:.4f} "
               f"train_top1 {last.train_top1:.4f} val_top1 {last.val_top1:.4f}")
-    print(f"history: {out_dir / 'history.csv'}")
+    print(f"history: {history_path}")
     print(f"checkpoint: {out_dir / 'checkpoint.qx'}")
     return 0
 
@@ -275,18 +274,11 @@ def cmd_bench(args) -> int:
     print(f"forward latency over {args.repeat} runs (batch {args.batch}): "
           f"mean {times_ms.mean():.2f} ms  std {times_ms.std():.2f} ms")
     if spec.is_axial:
-        h = w = spec.stem_spatial()[0]
-        plan = spec.group_plan()
-        total_axial = total_full = 0
-        for g, (mid, _) in enumerate(plan):
-            for b in range(spec.block_multipliers[g]):
-                total_axial += axial_flop_count(h, w, mid, spec.heads)
-                total_full += full_attention_flop_count(h, w, mid, spec.heads)
-                if g > 0 and b == 0:
-                    h //= 2
-                    w //= 2
-        print(f"attention-core MACs (axial): {total_axial}")
-        print(f"attention-core MACs (dense 2-D equivalent): {total_full}")
+        shapes = [(m.height, m.width, m.height_attention.channels, m.height_attention.heads)
+                  for _, m in model.named_modules() if isinstance(m, AxialPairModule)]
+        print(f"attention-core MACs (axial): {sum(axial_flop_count(*s) for s in shapes)}")
+        print("attention-core MACs (dense 2-D equivalent): "
+              f"{sum(full_attention_flop_count(*s) for s in shapes)}")
     return 0
 
 

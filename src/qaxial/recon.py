@@ -90,9 +90,33 @@ def _fit(model, gray, targets, epochs, lr, seed):
     return model
 
 
+def _setup(dataset, seed, width_quats, real_width):
+    """(gray, color) train and held-out (last 20%) splits, centered by the
+    training split's means, and the two untrained colorizers."""
+    images = np.asarray(dataset.images, dtype=np.float32)
+    if len(images) < 10:
+        raise ConfigurationError("need at least 10 color images")
+    n_test = max(1, int(len(images) * 0.2))
+    train_imgs, test_imgs = images[:-n_test], images[-n_test:]
+    gray_train = to_grayscale(train_imgs)
+    gray_mean = gray_train.mean()
+    color_mean = train_imgs.mean(axis=(0, 2, 3), keepdims=True)
+
+    if real_width is None:
+        real_width = 2 * width_quats
+    quat = QuaternionColorizer(width_quats, np.random.default_rng([seed, 101]))
+    real = RealColorizer(real_width, np.random.default_rng([seed, 202]))
+    q_params, r_params = quat.param_count(), real.param_count()
+    if abs(q_params - r_params) > 0.05 * max(q_params, r_params):
+        raise ConfigurationError(
+            f"parameter budgets differ by more than 5%: {q_params} vs {r_params}")
+    return ((gray_train - gray_mean, train_imgs - color_mean),
+            (to_grayscale(test_imgs) - gray_mean, test_imgs - color_mean), quat, real)
+
+
 def color_reconstruction_experiment(dataset, epochs: int = 6, seed: int = 0,
                                     width_quats: int = 8, real_width: int | None = None,
-                                    lr: float = 0.05, holdout_fraction: float = 0.2):
+                                    lr: float = 0.05):
     """Train matched quaternion and real colorizers; return their held-out MSEs.
 
     ``real_width`` defaults to 2*width_quats, which matches the two parameter
@@ -100,30 +124,8 @@ def color_reconstruction_experiment(dataset, epochs: int = 6, seed: int = 0,
     Inputs and color targets are centered by training-split channel means, so
     an untrained (near-zero output) model scores roughly the target variance.
     """
-    if real_width is None:
-        real_width = 2 * width_quats
-    images = np.asarray(dataset.images, dtype=np.float32)
-    if len(images) < 10:
-        raise ConfigurationError("need at least 10 color images")
-    n_test = max(1, int(len(images) * holdout_fraction))
-    train_imgs, test_imgs = images[:-n_test], images[-n_test:]
-
-    gray_train = to_grayscale(train_imgs)
-    gray_test = to_grayscale(test_imgs)
-    gray_mean = gray_train.mean()
-    color_mean = train_imgs.mean(axis=(0, 2, 3), keepdims=True)
-    gray_train = gray_train - gray_mean
-    gray_test = gray_test - gray_mean
-    target_train = train_imgs - color_mean
-    target_test = test_imgs - color_mean
-
-    quat = QuaternionColorizer(width_quats, np.random.default_rng([seed, 101]))
-    real = RealColorizer(real_width, np.random.default_rng([seed, 202]))
-    q_params, r_params = quat.param_count(), real.param_count()
-    if abs(q_params - r_params) > 0.05 * max(q_params, r_params):
-        raise ConfigurationError(
-            f"parameter budgets differ by more than 5%: {q_params} vs {r_params}")
-
+    (gray_train, target_train), (gray_test, target_test), quat, real = _setup(
+        dataset, seed, width_quats, real_width)
     _fit(quat, gray_train, target_train, epochs, lr, seed)
     _fit(real, gray_train, target_train, epochs, lr, seed)
     return _mse(quat, gray_test, target_test), _mse(real, gray_test, target_test)
@@ -131,15 +133,7 @@ def color_reconstruction_experiment(dataset, epochs: int = 6, seed: int = 0,
 
 def initial_mse_ratio(dataset, seed: int = 0, width_quats: int = 8):
     """(quat, real) untrained held-out MSE divided by target variance."""
-    images = np.asarray(dataset.images, dtype=np.float32)
-    n_test = max(1, int(len(images) * 0.2))
-    train_imgs, test_imgs = images[:-n_test], images[-n_test:]
-    color_mean = train_imgs.mean(axis=(0, 2, 3), keepdims=True)
-    gray_mean = to_grayscale(train_imgs).mean()
-    gray_test = to_grayscale(test_imgs) - gray_mean
-    target_test = test_imgs - color_mean
+    _, (gray_test, target_test), quat, real = _setup(dataset, seed, width_quats, None)
     variance = float((target_test ** 2).mean())
-    quat = QuaternionColorizer(width_quats, np.random.default_rng([seed, 101]))
-    real = RealColorizer(2 * width_quats, np.random.default_rng([seed, 202]))
     return (_mse(quat, gray_test, target_test) / variance,
             _mse(real, gray_test, target_test) / variance)

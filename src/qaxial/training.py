@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from . import fields
 from .autodiff import Tensor
 from .errors import (
     CheckpointIntegrityError,
@@ -26,7 +28,7 @@ from .errors import (
     ContractError,
     TrainingDivergedError,
 )
-from .zoo import Model, spec_from_text, spec_to_text
+from .zoo import SPEC_CASTS, Model, spec_from_fields, spec_to_text
 
 
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -62,16 +64,12 @@ class TrainConfig:
             raise ConfigurationError("warmup must end before the first decay epoch")
 
     def to_text(self) -> str:
-        lines = [f"{k} = {getattr(self, k)}" for k in (
-            "epochs", "batch_size", "base_lr", "warmup_epochs")]
-        lines.append("decay_epochs = " + ",".join(map(str, self.decay_epochs)))
-        lines += [f"{k} = {getattr(self, k)}" for k in (
-            "decay_factor", "momentum", "weight_decay", "seed", "decay_bn_params")]
-        return "\n".join(lines) + "\n"
+        values = asdict(self)
+        values["decay_epochs"] = ",".join(map(str, self.decay_epochs))
+        return fields.write(values)
 
     @classmethod
     def from_text(cls, text: str) -> "TrainConfig":
-        kwargs = {}
         casts = {
             "epochs": int, "batch_size": int, "warmup_epochs": int, "seed": int,
             "base_lr": float, "decay_factor": float, "momentum": float,
@@ -79,19 +77,7 @@ class TrainConfig:
             "decay_epochs": lambda v: tuple(int(x) for x in v.split(",") if x),
             "decay_bn_params": _parse_flag,
         }
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in casts:
-                raise ConfigurationError(f"unknown config key {key!r}")
-            try:
-                kwargs[key] = casts[key](raw.strip())
-            except ValueError:
-                raise ConfigurationError(f"config key {key!r}: bad value {raw.strip()!r}")
-        return cls(**kwargs)
+        return cls(**fields.read(text, casts, asdict(cls())))
 
 
 def lr_schedule(config: TrainConfig, epoch: int) -> float:
@@ -185,9 +171,12 @@ class TrainHistory:
             raise ContractError("malformed history CSV")
         history = cls()
         for ln in lines[1:]:
-            e, lr, tl, tt, vt, sec = ln.split(",")
-            history.append(EpochRecord(int(e), float(lr), float(tl),
-                                       float(tt), float(vt), float(sec)))
+            try:
+                e, lr, tl, tt, vt, sec = ln.split(",")
+                history.append(EpochRecord(int(e), float(lr), float(tl),
+                                           float(tt), float(vt), float(sec)))
+            except ValueError:
+                raise ContractError(f"malformed history CSV row {ln!r}") from None
         return history
 
 
@@ -307,26 +296,35 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.read(n).decode()
+        except UnicodeDecodeError:
+            raise CheckpointIntegrityError(f"{what} is not UTF-8") from None
+
 
 def _read_tensor(reader: _Reader):
     (name_len,) = reader.unpack("<H")
-    name = reader.read(name_len).decode()
+    name = reader.text(name_len, "tensor name")
     tag, ndim = reader.unpack("<BB")
     if tag not in _TAG_DTYPES:
         raise CheckpointIntegrityError(f"unknown dtype tag {tag}")
+    dtype = _TAG_DTYPES[tag]
     shape = reader.unpack(f"<{ndim}I")
     (nbytes,) = reader.unpack("<Q")
-    arr = np.frombuffer(reader.read(nbytes), dtype=_TAG_DTYPES[tag]).reshape(shape)
-    return name, arr.astype(_TAG_DTYPES[tag].newbyteorder("="))
+    if nbytes != math.prod(shape) * dtype.itemsize:
+        raise CheckpointIntegrityError(
+            f"tensor {name}: {nbytes} bytes do not fill shape {shape} of {dtype}")
+    arr = np.frombuffer(reader.read(nbytes), dtype=dtype).reshape(shape)
+    return name, arr.astype(dtype.newbyteorder("="))
 
 
 def checkpoint_save(path, model: Model, optimizer: SGDMomentum, epoch: int) -> None:
     """Write model parameters, buffers, and optimizer velocity with a checksum."""
-    blob = spec_to_text(model.spec)
-    blob += f"epoch = {epoch}\n"
-    blob += f"momentum = {optimizer.momentum}\n"
-    blob += f"weight_decay = {optimizer.weight_decay}\n"
-    blob += f"decay_bn_params = {optimizer.decay_bn_params}\n"
+    blob = spec_to_text(model.spec) + fields.write({
+        "epoch": epoch, "momentum": optimizer.momentum,
+        "weight_decay": optimizer.weight_decay,
+        "decay_bn_params": optimizer.decay_bn_params})
 
     buf = io.BytesIO()
     buf.write(_MAGIC)
@@ -374,18 +372,10 @@ def checkpoint_load(path):
     if version != _VERSION:
         raise CheckpointIntegrityError(f"unsupported version {version}")
     (blob_len,) = reader.unpack("<I")
-    blob = reader.read(blob_len).decode()
-
-    meta = {}
-    spec_lines = []
-    for line in blob.splitlines():
-        key = line.split("=")[0].strip()
-        if key in ("epoch", "momentum", "weight_decay", "decay_bn_params"):
-            meta[key] = line.partition("=")[2].strip()
-        else:
-            spec_lines.append(line)
-    spec = spec_from_text("\n".join(spec_lines))
-    model = Model(spec, seed=0)
+    meta = fields.read(reader.text(blob_len, "metadata blob"), {
+        **SPEC_CASTS, "epoch": int, "momentum": float, "weight_decay": float,
+        "decay_bn_params": _parse_flag}, {})
+    model = Model(spec_from_fields(meta), seed=0)
 
     (count,) = reader.unpack("<I")
     tensors = {}
@@ -408,12 +398,10 @@ def checkpoint_load(path):
             full = f"{name}.{bname}" if name else bname
             mod.register_buffer(bname, take("buffer/" + full, buf.shape))
 
-    optimizer = SGDMomentum(model.named_parameters(),
-                            momentum=float(meta["momentum"]),
-                            weight_decay=float(meta["weight_decay"]),
-                            decay_bn_params=meta["decay_bn_params"] == "True")
+    optimizer = SGDMomentum(model.named_parameters(), meta["momentum"],
+                            meta["weight_decay"], meta["decay_bn_params"])
     for name, vel in optimizer.velocity.items():
         optimizer.velocity[name] = take("vel/" + name, vel.shape)
     if tensors:
         raise CheckpointIntegrityError(f"unexpected tensor {min(tensors)}")
-    return model, optimizer, int(meta["epoch"])
+    return model, optimizer, meta["epoch"]

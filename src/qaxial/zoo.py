@@ -18,11 +18,12 @@ spans follow the actual incoming feature-map size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import fields
 from .axial import AxialPairModule
 from .errors import ConfigurationError, ShapeError
 from .nn import (
@@ -131,40 +132,30 @@ def spec_for(variant: str, depth: int, **overrides) -> ArchitectureSpec:
     return ArchitectureSpec(variant, DEPTH_MULTIPLIERS[depth], **overrides)
 
 
+SPEC_CASTS = {  # in ArchitectureSpec field order
+    "variant": str,
+    "multipliers": lambda v: tuple(int(m) for m in v.split(",")),
+    "width_scale": float,
+    "num_classes": int,
+    "input_size": lambda v: tuple(int(d) for d in v.split("x")),
+    "heads": int,
+}
+
+
 def spec_to_text(spec: ArchitectureSpec) -> str:
-    c, h, w = spec.input_size
-    lines = [
-        f"variant = {spec.variant}",
-        f"multipliers = {','.join(map(str, spec.block_multipliers))}",
-        f"width_scale = {spec.width_scale}",
-        f"num_classes = {spec.num_classes}",
-        f"input_size = {c}x{h}x{w}",
-        f"heads = {spec.heads}",
-    ]
-    return "\n".join(lines) + "\n"
+    values = dict(zip(SPEC_CASTS, astuple(spec)))
+    values["multipliers"] = ",".join(map(str, spec.block_multipliers))
+    values["input_size"] = "x".join(map(str, spec.input_size))
+    return fields.write(values)
+
+
+def spec_from_fields(values: dict) -> ArchitectureSpec:
+    """The spec named by the :data:`SPEC_CASTS` keys of ``values``."""
+    return ArchitectureSpec(*(values[key] for key in SPEC_CASTS))
 
 
 def spec_from_text(text: str) -> ArchitectureSpec:
-    values = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"bad config line: {line!r}")
-        key, _, raw = line.partition("=")
-        values[key.strip()] = raw.strip()
-    try:
-        return ArchitectureSpec(
-            variant=values["variant"],
-            block_multipliers=tuple(int(v) for v in values["multipliers"].split(",")),
-            width_scale=float(values["width_scale"]),
-            num_classes=int(values["num_classes"]),
-            input_size=tuple(int(v) for v in values["input_size"].split("x")),
-            heads=int(values["heads"]),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(f"config missing key {missing}") from None
+    return spec_from_fields(fields.read(text, SPEC_CASTS, {}))
 
 
 class ConvBottleneck(Module):

@@ -60,6 +60,15 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'classes'" in err
 
+    def test_repeated_synthetic_key_exits_1(self, tmp_path, capsys):
+        code = main(["train", "--variant", "resnet", "--data",
+                     "synthetic://classes=4,classes=5,per_class=2",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'classes'" in err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_config_value_exits_1(self, tmp_path, capsys):
         config = tmp_path / "train.cfg"
         config.write_text("epochs = many\n")
@@ -117,6 +126,18 @@ class TestTrainEvalRoundTrip:
                      "--data", SMOKE_DATA]) == 0
         reported = float(capsys.readouterr().out.split("top1:")[1])
         assert reported == history.records[-1].val_top1  # exact, repr round-trip
+
+    def test_resume_keeps_earlier_history(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        args = ["train", "--variant", "axial", "--width-scale", "0.25",
+                "--data", SMOKE_DATA, "--out", str(out_dir), "--no-augment"]
+        assert main(args + ["--config", str(smoke_config(tmp_path, 1))]) == 0
+        first = TrainHistory.from_csv((out_dir / "history.csv").read_text())
+        assert main(args + ["--config", str(smoke_config(tmp_path, 2)),
+                            "--resume", str(out_dir / "checkpoint.qx")]) == 0
+        history = TrainHistory.from_csv((out_dir / "history.csv").read_text())
+        assert [r.epoch for r in history.records] == [0, 1]
+        assert history.records[0] == first.records[0]
 
     def test_eval_deterministic_without_augmentation(self, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -1,4 +1,5 @@
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from qaxial.errors import (
     CheckpointIntegrityError,
     ConfigurationError,
     ContractError,
+    QaxialError,
     TrainingDivergedError,
 )
 from qaxial.nn import Linear, Module, Parameter
@@ -28,6 +30,55 @@ from qaxial.training import (
     train,
 )
 from qaxial.zoo import ArchitectureSpec, build
+
+
+# written by TrainConfig.to_text and checkpoint_save before they moved onto
+# qaxial.fields; the on-disk format must not change
+CONFIG_TEXT = """\
+epochs = 50
+batch_size = 10
+base_lr = 0.1
+warmup_epochs = 2
+decay_epochs = 5,9
+decay_factor = 0.1
+momentum = 0.9
+weight_decay = 9e-05
+seed = 3
+decay_bn_params = True
+"""
+CHECKPOINT_BLOB = """\
+variant = axial
+multipliers = 1,1,1,1
+width_scale = 0.25
+num_classes = 4
+input_size = 3x32x32
+heads = 8
+epoch = 7
+momentum = 0.9
+weight_decay = 9e-05
+decay_bn_params = True
+"""
+
+
+def reseal(path, payload):
+    """Write ``payload`` with a valid checksum, so only the content checks see it."""
+    path.write_bytes(bytes(payload) + training._checksum(bytes(payload)))
+
+
+def replace_blob(path, blob: bytes):
+    payload = path.read_bytes()[:-8]
+    (old_len,) = struct.unpack_from("<I", payload, 12)
+    reseal(path, payload[:12] + struct.pack("<I", len(blob)) + blob
+           + payload[16 + old_len:])
+
+
+def first_tensor_offsets(payload):
+    """Offsets of the first tensor record's name and of its byte count."""
+    (blob_len,) = struct.unpack_from("<I", payload, 12)
+    name_at = 16 + blob_len + 4 + 2  # blob, tensor count, name length
+    (name_len,) = struct.unpack_from("<H", payload, name_at - 2)
+    ndim = payload[name_at + name_len + 1]
+    return name_at, name_at + name_len + 2 + 4 * ndim
 
 
 def tiny_spec(**overrides):
@@ -87,6 +138,16 @@ class TestSchedule:
     def test_config_text_bad_value_names_key(self, line):
         with pytest.raises(ConfigurationError, match=line.split()[0]):
             TrainConfig.from_text(line)
+
+    def test_config_text_is_pinned(self):
+        config = TrainConfig(epochs=50, decay_epochs=(5, 9), warmup_epochs=2,
+                             seed=3, decay_bn_params=True)
+        assert config.to_text() == CONFIG_TEXT
+        assert TrainConfig(decay_epochs=()).to_text().splitlines()[4] == "decay_epochs = "
+
+    def test_config_text_repeated_key_names_key(self):
+        with pytest.raises(ConfigurationError, match="'epochs'"):
+            TrainConfig.from_text("epochs = 5\n# again\nepochs = 6\n")
 
 
 class TestSgdStep:
@@ -224,6 +285,13 @@ class TestTrainLoop:
         history.append(EpochRecord(1, 0.02, 1.9, 0.3, 0.55, 1.5))
         parsed = TrainHistory.from_csv(history.to_csv())
         assert parsed.records == history.records
+
+    @pytest.mark.parametrize("row", ["1,0.02,1.9,0.3,0.55", "1,0.02,1.9,0.3,0.55,1.5,9",
+                                     "1,0.02,fast,0.3,0.55,1.5", "one,0.02,1.9,0.3,0.55,1.5"])
+    def test_history_csv_malformed_row_names_it(self, row):
+        text = TrainHistory.CSV_HEADER + "\n0,0.01,2.3,0.25,0.5,1.25\n" + row + "\n"
+        with pytest.raises(ContractError, match=re.escape(repr(row))):
+            TrainHistory.from_csv(text)
 
 
 class TestEvaluate:
@@ -375,6 +443,55 @@ class TestCheckpoint:
         checkpoint_save(path, model, opt, epoch=1)
         with pytest.raises(CheckpointIntegrityError,
                            match=re.escape("duplicate tensor param/" + params[0][0])):
+            checkpoint_load(path)
+
+    def _saved(self, tmp_path):
+        model, opt, _, _ = self._trained(tmp_path)
+        opt.decay_bn_params = True
+        path = tmp_path / "model.qx"
+        checkpoint_save(path, model, opt, epoch=7)
+        return path
+
+    def test_blob_is_pinned_and_loads(self, tmp_path):
+        path = self._saved(tmp_path)
+        payload = path.read_bytes()
+        assert struct.unpack_from("<I", payload, 12) == (len(CHECKPOINT_BLOB),)
+        assert payload[16:16 + len(CHECKPOINT_BLOB)].decode() == CHECKPOINT_BLOB
+        model, opt, epoch = checkpoint_load(path)
+        assert model.spec == tiny_spec() and epoch == 7
+        assert (opt.momentum, opt.weight_decay, opt.decay_bn_params) == (0.9, 9e-5, True)
+
+    @pytest.mark.parametrize("old,new,key", [("epoch = 7\n", "", "epoch"),
+                                             ("momentum = 0.9", "momentum = fast", "momentum"),
+                                             ("heads = 8\n", "heads = 8\nheads = 4\n", "heads"),
+                                             ("epoch = 7", "colour = red", "colour")])
+    def test_bad_blob_names_key(self, tmp_path, old, new, key):
+        path = self._saved(tmp_path)
+        replace_blob(path, CHECKPOINT_BLOB.replace(old, new).encode())
+        with pytest.raises(QaxialError, match=f"'{key}'"):
+            checkpoint_load(path)
+
+    def test_payload_must_fill_its_shape(self, tmp_path):
+        path = self._saved(tmp_path)
+        payload = bytearray(path.read_bytes()[:-8])
+        _, count_at = first_tensor_offsets(payload)
+        (nbytes,) = struct.unpack_from("<Q", payload, count_at)
+        struct.pack_into("<Q", payload, count_at, nbytes - 4)  # one float32 short
+        del payload[count_at + 8 + nbytes - 4:count_at + 8 + nbytes]
+        reseal(path, payload)
+        with pytest.raises(CheckpointIntegrityError, match="do not fill shape"):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("where", ["tensor name", "metadata blob"])
+    def test_non_utf8_text_is_rejected(self, tmp_path, where):
+        path = self._saved(tmp_path)
+        if where == "metadata blob":
+            replace_blob(path, b"\xff" + CHECKPOINT_BLOB.encode())
+        else:
+            payload = bytearray(path.read_bytes()[:-8])
+            payload[first_tensor_offsets(payload)[0]] = 0xFF
+            reseal(path, payload)
+        with pytest.raises(CheckpointIntegrityError, match=f"{where} is not UTF-8"):
             checkpoint_load(path)
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):

@@ -30,6 +30,17 @@ PUBLISHED_COUNTS = {
 }
 
 
+# written by spec_to_text before it moved onto qaxial.fields; checkpoints hold it
+SPEC_TEXT = """\
+variant = quat_axial
+multipliers = 1,2,4,1
+width_scale = 0.25
+num_classes = 10
+input_size = 3x32x32
+heads = 8
+"""
+
+
 def small_spec(variant, **overrides):
     defaults = dict(block_multipliers=(1, 1, 1, 1), num_classes=10,
                     input_size=(3, 32, 32))
@@ -65,6 +76,25 @@ class TestSpec:
         spec = spec_for("quat_axial", 26, num_classes=10, input_size=(3, 32, 32),
                         width_scale=0.25)
         assert spec_from_text(spec_to_text(spec)) == spec
+
+    def test_text_is_pinned(self):
+        spec = spec_for("quat_axial", 26, num_classes=10, input_size=(3, 32, 32),
+                        width_scale=0.25)
+        assert spec_to_text(spec) == SPEC_TEXT
+
+    @pytest.mark.parametrize("text,key", [
+        (SPEC_TEXT.replace("heads = 8", "heads = eight"), "heads"),
+        (SPEC_TEXT + "colour = red\n", "colour"),
+        (SPEC_TEXT + "# again\nheads = 4\n", "heads"),
+        (SPEC_TEXT.replace("heads = 8", "heads 8"), "heads 8"),
+    ], ids=["bad-value", "unknown", "repeated", "no-equals"])
+    def test_text_bad_line_names_key(self, text, key):
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            spec_from_text(text)
+
+    def test_text_missing_key_names_key(self):
+        with pytest.raises(ConfigurationError, match="'heads'"):
+            spec_from_text(SPEC_TEXT.replace("heads = 8\n", ""))
 
     def test_stem_spatial(self):
         assert spec_for("axial", 26).stem_spatial() == (56, 56)
