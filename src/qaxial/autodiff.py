@@ -517,6 +517,76 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _result(out, parents, backward, "conv2d")
 
 
+def quaternion_conv2d(x: Tensor, components, table, stride: int = 1,
+                      padding: int = 0) -> Tensor:
+    """conv2d with the structured weight that ``signed_blocks`` would build
+    from ``components`` [q_out, q_in, kh, kw] and ``table``, never built.
+
+    ``table[a][b] = (c, sign)`` (sign +1.0 or -1.0) makes output component
+    ``a`` take ``sign * components[c]`` of input component ``b``; each row
+    uses every component once.  Channel ``4g + b`` (for a 4x4 table) is
+    component ``b`` of group ``g``.  The signs act on the im2col columns
+    instead of the weight: block ``(c, a)`` of
+    ``xt [nc*q_in*kh*kw, na*N*Ho*Wo]`` is ``sign * cols_b``, so the forward,
+    the component gradients and the input gradient are one GEMM each,
+    ``wcat @ xt``, ``gmat @ xt.T`` and ``wcat.T @ gmat`` with
+    ``wcat = [W_0 | ... | W_nc-1]``; the last is folded back through the
+    signs into ``_col2im``.
+    """
+    components = [_coerce(t, x) for t in components]
+    first = components[0]
+    na, nb, nc = len(table), len(table[0]), len(components)
+    if any(sorted(c for c, _ in row) != list(range(nc)) for row in table):
+        raise ContractError("every table row must use each component exactly once")
+    if x.ndim != 4 or first.ndim != 4:
+        raise ShapeError("quaternion_conv2d expects 4-D input and components")
+    n, cin, h, w = x.shape
+    q_out, q_in, kh, kw = first.shape
+    if any(t.shape != first.shape for t in components):
+        raise ShapeError("quaternion_conv2d components must share one shape")
+    if cin != nb * q_in:
+        raise ShapeError(f"quaternion_conv2d: input has {cin} channels, "
+                         f"components expect {nb * q_in}")
+    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
+    m = n * ho * wo
+    # cols rows are (g, b, ky, kx); xt rows are (c, g, ky, kx), columns (a, m)
+    cols_b = cols.reshape(q_in, nb, kh * kw, m)
+    xt = np.empty((nc, q_in, kh * kw, na, m), dtype=x.dtype)
+    for a, row in enumerate(table):
+        for b, (c, sign) in enumerate(row):
+            np.multiply(cols_b[:, b], sign, out=xt[c, :, :, a])
+    xt = xt.reshape(nc * q_in * kh * kw, na * m)
+    del cols, cols_b
+
+    def wcat():  # [q_out, nc*q_in*kh*kw]; rebuilt in backward rather than kept
+        return np.concatenate([t.data.reshape(q_out, -1) for t in components], axis=1)
+
+    out = wcat() @ xt
+    # [q_out, na, N, Ho, Wo] -> [N, q_out*na, Ho, Wo]; no copy at N = 1
+    out = np.ascontiguousarray(
+        out.reshape(q_out, na, n, ho, wo).transpose(2, 0, 1, 3, 4)
+    ).reshape(n, q_out * na, ho, wo)
+
+    def backward(g):
+        gmat = g.reshape(n, q_out, na, ho * wo).transpose(1, 2, 0, 3).reshape(q_out, na * m)
+        if any(t.requires_grad for t in components):
+            gw = (gmat @ xt.T).reshape(q_out, nc, q_in, kh, kw)
+            for c, t in enumerate(components):
+                if t.requires_grad:
+                    t._accumulate(np.ascontiguousarray(gw[:, c]))
+        if x.requires_grad:
+            gxt = (wcat().T @ gmat).reshape(nc, q_in, kh * kw, na, m)
+            gcols = np.zeros((q_in, nb, kh * kw, m), dtype=g.dtype)
+            for a, row in enumerate(table):
+                for b, (c, sign) in enumerate(row):
+                    (np.add if sign > 0 else np.subtract)(
+                        gcols[:, b], gxt[c, :, :, a], out=gcols[:, b])
+            x._accumulate(_col2im(gcols.reshape(cin * kh * kw, m), x.shape,
+                                  kh, kw, stride, padding))
+
+    return _result(out, (x, *components), backward, "quaternion_conv2d")
+
+
 def max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
     """Max pool with ceil-mode output size; boundary windows are clipped.
 

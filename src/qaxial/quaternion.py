@@ -5,13 +5,19 @@ throughout the package: channels [4g, 4g+1, 4g+2, 4g+3] of a feature map are
 the (r, i, j, k) components of quaternion group ``g``.
 
 The left Hamilton product w * q is a linear map of q whose 4x4 matrix reuses
-the four components of w in a fixed sign pattern, so a quaternion convolution
-is exactly a real convolution with a structured weight tensor: each
-(output-group, input-group) block of the expanded weight holds only four
-independent values.  Layers below build that expansion with one
-differentiable op, :func:`~qaxial.autodiff.signed_blocks`, driven by the sign
-table ``_EXPANSION``; each shared component's gradient is the signed sum of
-the gradients over its four placements.
+the four components of w in a fixed sign pattern, the sign table
+``_EXPANSION``, so a quaternion convolution is exactly a real convolution
+with a structured weight tensor: each (output-group, input-group) block of
+the expanded weight holds only four independent values.
+:class:`QuaternionConv2d` never builds that weight.  Its one op,
+:func:`~qaxial.autodiff.quaternion_conv2d`, applies the signs to the im2col
+columns of its input instead, so one GEMM against the four stacked
+components gives the output, and the component gradients come out of one
+GEMM too.  ``expanded_weight`` still builds the real weight, as the reference
+the tests compare against.  :class:`QuaternionBank1x1` builds its 4x4
+matrices with :func:`~qaxial.autodiff.signed_blocks` from the same table;
+each shared component's gradient is the signed sum of the gradients over its
+four placements.
 """
 
 from __future__ import annotations
@@ -132,10 +138,8 @@ class QuaternionConv2d(Module):
                                    self.kernel_size, self.kernel_size))
 
     def forward(self, x):
-        if x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"quaternion conv expects {self.in_channels} channels, got {x.shape[1]}")
-        return ad.conv2d(x, self.expanded_weight(), None, self.stride, self.padding)
+        return ad.quaternion_conv2d(x, self.components(), _EXPANSION,
+                                    self.stride, self.padding)
 
 
 class QuaternionBank1x1(Module):

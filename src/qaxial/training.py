@@ -58,8 +58,14 @@ class TrainConfig:
         self.decay_epochs = tuple(int(e) for e in self.decay_epochs)
         if min((self.epochs, self.batch_size, self.warmup_epochs)) < 1:
             raise ConfigurationError("epochs, batch_size, warmup_epochs must be >= 1")
+        for key in ("base_lr", "decay_factor", "momentum", "weight_decay"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigurationError(f"'{key}' must be finite, got {getattr(self, key)}")
         if min((self.base_lr, self.decay_factor)) <= 0 or self.momentum < 0:
             raise ConfigurationError("rates must be positive")
+        if any(a >= b for a, b in zip(self.decay_epochs, self.decay_epochs[1:])):
+            raise ConfigurationError(
+                f"'decay_epochs' must be strictly increasing, got {self.decay_epochs}")
         if self.decay_epochs and self.warmup_epochs >= min(self.decay_epochs):
             raise ConfigurationError("warmup must end before the first decay epoch")
 

@@ -18,6 +18,7 @@ spans follow the actual incoming feature-map size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -103,6 +104,11 @@ class ArchitectureSpec:
             raise ConfigurationError("need at least two classes")
         if len(self.input_size) != 3 or self.input_size[0] != 3:
             raise ConfigurationError("input_size must be (3, H, W)")
+        if self.heads < 1:
+            raise ConfigurationError(f"'heads' must be >= 1, got {self.heads}")
+        if not 0 < self.width_scale < math.inf:
+            raise ConfigurationError(
+                f"'width_scale' must be finite and > 0, got {self.width_scale}")
         plan = self.group_plan()
         if min(m for m, _ in plan) < 1:
             raise ConfigurationError(f"width_scale {self.width_scale} collapses a group")

@@ -17,6 +17,7 @@ from qaxial.errors import (
     QaxialError,
     ShapeError,
 )
+from qaxial.quaternion import _EXPANSION
 
 from oracles import naive_conv2d, naive_conv2d_grads
 
@@ -383,6 +384,25 @@ def test_signed_blocks_places_signed_copies():
     for r, row in enumerate(table):
         for c, (n, sign) in enumerate(row):
             npt.assert_array_equal(out[r, :, c], sign * (a, b)[n].data)
+
+
+class TestQuaternionConv2dOp:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_grad_check_at_batch_3_stride_2_padding_1(self, k):
+        proj = rand((3, 12, (7 - k) // 2 + 1, (8 - k) // 2 + 1), 20).data
+
+        def f(x, *comps):
+            return (ad.quaternion_conv2d(x, comps, _EXPANSION, stride=2, padding=1)
+                    * proj).sum()
+
+        comps = [rand((3, 2, k, k), 21 + c) for c in range(4)]
+        assert grad_check(f, [rand((3, 8, 5, 6), 25)] + comps) < 1e-6
+
+    def test_table_row_must_use_each_component_once(self):
+        x, comps = rand((1, 8, 3, 3), 0), [rand((1, 2, 1, 1), c) for c in range(4)]
+        bad = _EXPANSION[:3] + (((0, 1.0), (0, 1.0), (1, 1.0), (3, 1.0)),)
+        with pytest.raises(ContractError):
+            ad.quaternion_conv2d(x, comps, bad)
 
 
 class TestDebugChecks:

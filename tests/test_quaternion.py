@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qaxial.autodiff import Tensor, backward, grad_check
+from qaxial.autodiff import Tensor, backward, conv2d, grad_check
 from qaxial.errors import ConfigurationError, ShapeError
 from qaxial.quaternion import (
     IDENTITY,
@@ -143,6 +143,22 @@ class TestQuaternionConv2d:
         err = grad_check(f, [x] + list(layer0.components()))
         assert err < 1e-4
 
+    @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (3, 2, 1), (3, 1, 1)])
+    def test_matches_expanded_weight_conv_in_float64(self, k, stride, padding):
+        rng = np.random.default_rng(17)
+        layer = QuaternionConv2d(8, 12, k, stride, padding, rng=rng).to_dtype(np.float64)
+        x = rng.normal(size=(3, 8, 5, 6))
+        results = []
+        for run in (layer, lambda t: conv2d(t, layer.expanded_weight(), None, stride, padding)):
+            xt = Tensor(x, requires_grad=True)
+            out = run(xt)
+            backward((out * Tensor(np.cos(np.arange(out.size)).reshape(out.shape))).sum())
+            results.append([out.data, xt.grad] + [c.grad for c in layer.components()])
+            for c in layer.components():
+                c.zero_grad()
+        for got, want in zip(*results):
+            npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
     def test_wrong_channel_count_raises(self):
         layer = QuaternionConv2d(8, 8, 1)
         with pytest.raises(ShapeError):
@@ -227,6 +243,16 @@ class TestExpansionTape:
         ops = _tape_ops(QuaternionBank1x1(8).group_matrices())
         assert len(ops) <= 1
         assert not {"neg", "stack"} & set(ops)
+
+    def test_conv_forward_is_one_op_and_builds_no_real_weight(self):
+        layer = QuaternionConv2d(8, 12, 3, padding=1)
+        out = layer(Tensor(np.ones((2, 8, 4, 4), dtype=np.float32)))
+        assert _tape_ops(out) == ["quaternion_conv2d"]
+        expanded = 16 * layer.q_out * layer.q_in * 3 * 3
+        cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        arrays = [out.data] + [getattr(v, "data", v) for v in cells]
+        sizes = {a.size for a in arrays if isinstance(a, np.ndarray)}
+        assert expanded not in sizes
 
 
 class TestQuaternionInit:

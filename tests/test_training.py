@@ -139,6 +139,13 @@ class TestSchedule:
         with pytest.raises(ConfigurationError, match=line.split()[0]):
             TrainConfig.from_text(line)
 
+    @pytest.mark.parametrize("line", ["base_lr = nan", "base_lr = inf", "decay_factor = nan",
+                                      "momentum = inf", "weight_decay = nan",
+                                      "decay_epochs = 50,20", "decay_epochs = 20,20"])
+    def test_config_text_out_of_range_value_names_key(self, line):
+        with pytest.raises(ConfigurationError, match=f"'{line.split()[0]}'"):
+            TrainConfig.from_text(line)
+
     def test_config_text_is_pinned(self):
         config = TrainConfig(epochs=50, decay_epochs=(5, 9), warmup_epochs=2,
                              seed=3, decay_bn_params=True)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,19 @@ class TestSpec:
     def test_text_missing_key_names_key(self):
         with pytest.raises(ConfigurationError, match="'heads'"):
             spec_from_text(SPEC_TEXT.replace("heads = 8\n", ""))
+
+    @pytest.mark.parametrize("variant,line", [
+        ("axial", "heads = 0"), ("resnet", "heads = -2"), ("quat_resnet", "heads = 0"),
+        ("quat_axial", "heads = -1"), ("axial", "width_scale = nan"),
+        ("axial", "width_scale = inf"), ("resnet", "width_scale = nan"),
+        ("resnet", "width_scale = -3"), ("quat_resnet", "width_scale = 0"),
+    ])
+    def test_text_out_of_range_value_names_key(self, variant, line):
+        key = line.split()[0]
+        text = SPEC_TEXT.replace("quat_axial", variant)
+        text = re.sub(f"^{key} = .*$", line, text, flags=re.M)
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            spec_from_text(text)
 
     def test_stem_spatial(self):
         assert spec_for("axial", 26).stem_spatial() == (56, 56)
