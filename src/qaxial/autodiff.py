@@ -770,31 +770,43 @@ def backward(loss: Tensor) -> None:
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def grad_check(f, inputs, eps: float = 1e-5, dtype=np.float64) -> float:
+def grad_check(f, inputs, eps: float = 1e-5) -> float:
     """Compare analytic gradients of scalar-valued ``f`` to central differences.
+
+    Checks run in float64 and in place: each ``Tensor`` input gets float64
+    ``.data``, ``requires_grad`` and a cleared ``.grad``, and is itself passed
+    to ``f``, so a module's own parameters can be the inputs while ``f`` just
+    calls the module (array inputs are wrapped in new tensors).  Afterwards
+    each input holds its float64 starting values and its analytic ``.grad``.
 
     Returns the max over all coordinates of
     ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``.
-    ``f`` must be deterministic; it is probed twice to verify that.
+    ``f`` must be deterministic; it is probed twice to verify that.  A
+    repeated input, or one that ``f`` never reaches, raises ContractError.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ContractError(f"eps {eps} outside [1e-7, 1e-3]")
-    dtype = _as_dtype(dtype)
-    xs = [Tensor(t.data if isinstance(t, Tensor) else t,
-                 requires_grad=True, dtype=dtype) for t in inputs]
+    if len({id(t) for t in inputs}) != len(inputs):
+        raise ContractError("an input appears more than once")
+    xs = [t if isinstance(t, Tensor) else Tensor(t, dtype=np.float64) for t in inputs]
+    for x in xs:
+        x.data = np.ascontiguousarray(x.data, dtype=np.float64)
+        x.requires_grad, x.grad = True, None
 
     probe_a = f(*xs)
     probe_b = f(*xs)
     if not np.array_equal(probe_a.data, probe_b.data):
         raise OracleError("function under test is not deterministic")
     backward(probe_b)
-    analytic = [np.zeros_like(x.data) if x.grad is None else x.grad for x in xs]
+    for i, x in enumerate(xs):
+        if x.grad is None:
+            raise ContractError(f"input {i} received no gradient: f never reaches it")
 
     worst = 0.0
     with no_grad():
-        for x, an in zip(xs, analytic):
+        for x in xs:
             flat = x.data.reshape(-1)
-            an_flat = an.reshape(-1)
+            an_flat = x.grad.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps

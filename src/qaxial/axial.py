@@ -46,7 +46,7 @@ class AxialAttention1D(Module):
     """Multi-head self-attention over the last axis of a [B, C, L] tensor."""
 
     def __init__(self, channels: int, span: int, heads: int = 8,
-                 positional: bool = True, rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         if channels % heads:
             raise ConfigurationError(
@@ -57,7 +57,6 @@ class AxialAttention1D(Module):
         self.channels = channels
         self.span = span
         self.heads = heads
-        self.positional = positional
         self.dim = head_dim(channels, heads)
         inner = heads * self.dim
 
@@ -69,12 +68,11 @@ class AxialAttention1D(Module):
         self.w_k = proj(inner, channels)
         self.w_v = proj(inner, channels)
         self.w_out = proj(channels, inner)
-        if positional:
-            emb_std = 1.0 / np.sqrt(self.dim)
-            for name in ("r_q", "r_k", "r_v"):
-                setattr(self, name, Parameter(
-                    rng.normal(0.0, emb_std, size=(2 * span - 1, self.dim)).astype(np.float32),
-                    decay=False, kind="embedding"))
+        emb_std = 1.0 / np.sqrt(self.dim)
+        for name in ("r_q", "r_k", "r_v"):
+            setattr(self, name, Parameter(
+                rng.normal(0.0, emb_std, size=(2 * span - 1, self.dim)).astype(np.float32),
+                decay=False, kind="embedding"))
         # rel_index[o*L+p] = p - o + L - 1
         pos = np.arange(span)
         self.register_buffer(
@@ -97,24 +95,21 @@ class AxialAttention1D(Module):
         v = self._split_heads(ad.matmul(self.w_v, x))
 
         logits = ad.matmul(q, ad.transpose(k, (0, 2, 1)))  # [B*h, o, p]
-        if self.positional:
-            shape = (span, span, self.dim)  # [o, p, dim]
-            rq = ad.reshape(ad.take_rows(self.r_q, self.rel_index), shape)
-            rk = ad.reshape(ad.take_rows(self.r_k, self.rel_index), shape)
-            rv = ad.reshape(ad.take_rows(self.r_v, self.rel_index), shape)
-            # q_o . rq[o, p]: [o, B*h, dim] @ [o, dim, p] -> [o, B*h, p]
-            qr = ad.matmul(ad.transpose(q, (1, 0, 2)), ad.transpose(rq, (0, 2, 1)))
-            # k_p . rk[o, p]: [p, B*h, dim] @ [p, dim, o] -> [p, B*h, o]
-            kr = ad.matmul(ad.transpose(k, (1, 0, 2)), ad.transpose(rk, (1, 2, 0)))
-            logits = (logits + ad.transpose(qr, (1, 0, 2))
-                      + ad.transpose(kr, (1, 2, 0)))
+        shape = (span, span, self.dim)  # [o, p, dim]
+        rq = ad.reshape(ad.take_rows(self.r_q, self.rel_index), shape)
+        rk = ad.reshape(ad.take_rows(self.r_k, self.rel_index), shape)
+        rv = ad.reshape(ad.take_rows(self.r_v, self.rel_index), shape)
+        # q_o . rq[o, p]: [o, B*h, dim] @ [o, dim, p] -> [o, B*h, p]
+        qr = ad.matmul(ad.transpose(q, (1, 0, 2)), ad.transpose(rq, (0, 2, 1)))
+        # k_p . rk[o, p]: [p, B*h, dim] @ [p, dim, o] -> [p, B*h, o]
+        kr = ad.matmul(ad.transpose(k, (1, 0, 2)), ad.transpose(rk, (1, 2, 0)))
+        logits = logits + ad.transpose(qr, (1, 0, 2)) + ad.transpose(kr, (1, 2, 0))
 
         weights = ad.softmax(logits, axis=-1)
         out = ad.matmul(weights, v)  # [B*h, o, dim]
-        if self.positional:
-            # w[o] @ rv[o]: [o, B*h, p] @ [o, p, dim] -> [o, B*h, dim]
-            wr = ad.matmul(ad.transpose(weights, (1, 0, 2)), rv)
-            out = out + ad.transpose(wr, (1, 0, 2))
+        # w[o] @ rv[o]: [o, B*h, p] @ [o, p, dim] -> [o, B*h, dim]
+        wr = ad.matmul(ad.transpose(weights, (1, 0, 2)), rv)
+        out = out + ad.transpose(wr, (1, 0, 2))
         merged = ad.reshape(ad.transpose(out, (0, 2, 1)),
                             (bsz, self.heads * self.dim, span))
         return ad.matmul(self.w_out, merged)
@@ -129,8 +124,7 @@ class AxialPairModule(Module):
     """
 
     def __init__(self, channels: int, height: int, width: int, heads: int = 8,
-                 stride: int = 1, positional: bool = True,
-                 rng: np.random.Generator | None = None):
+                 stride: int = 1, rng: np.random.Generator | None = None):
         super().__init__()
         if stride not in (1, 2):
             raise ConfigurationError("stride must be 1 or 2")
@@ -138,8 +132,8 @@ class AxialPairModule(Module):
         self.height = height
         self.width = width
         self.stride = stride
-        self.height_attention = AxialAttention1D(channels, height, heads, positional, rng)
-        self.width_attention = AxialAttention1D(channels, width, heads, positional, rng)
+        self.height_attention = AxialAttention1D(channels, height, heads, rng)
+        self.width_attention = AxialAttention1D(channels, width, heads, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape

@@ -43,6 +43,7 @@ from .training import (
 )
 from .zoo import (
     ArchitectureSpec,
+    AxialBottleneck,
     build,
     count_layers,
     count_params,
@@ -76,9 +77,9 @@ def _model_spec(args, data=None) -> ArchitectureSpec:
     if data is not None:
         overrides["num_classes"] = data.class_count
         overrides["input_size"] = tuple(data.images.shape[1:])
-    if getattr(args, "classes", None):
+    if getattr(args, "classes", None) is not None:
         overrides["num_classes"] = args.classes
-    if getattr(args, "size", None):
+    if getattr(args, "size", None) is not None:
         overrides["input_size"] = (3, args.size, args.size)
     return spec_for(args.variant, args.depth, heads=args.heads, **overrides)
 
@@ -167,70 +168,26 @@ def _grad_check_suite(rng: np.random.Generator):
     suite.append(("cross_entropy", lambda x: ad.cross_entropy(x, labels),
                   [t((3, 4))]))
 
+    def module_case(name, module, x, proj, inputs=None):
+        # the module's own parameters are checked in place
+        suite.append((name, lambda *_: (module(x) * proj).sum(),
+                      inputs or [x] + list(module.parameters())))
+
     qconv = QuaternionConv2d(8, 8, 3, padding=1, rng=np.random.default_rng(7))
-    x_q = t((2, 8, 3, 3), seed=102)
-    proj_q = t((2, 8, 3, 3), seed=103)
-
-    def f_qconv(wr, wi, wj, wk):
-        qconv.w_r, qconv.w_i, qconv.w_j, qconv.w_k = wr, wi, wj, wk
-        return (qconv(x_q) * proj_q).sum()
-    suite.append(("quaternion_conv", f_qconv, list(qconv.components())))
-
-    bank = QuaternionBank1x1(8, rng=np.random.default_rng(8))
-    proj_bank = t((2, 8, 2, 2), seed=104)
-
-    def f_bank(wr, wi, wj, wk, x):
-        bank.w_r, bank.w_i, bank.w_j, bank.w_k = wr, wi, wj, wk
-        return (bank(x) * proj_bank).sum()
-    suite.append(("quaternion_bank", f_bank,
-                  list(bank.components()) + [t((2, 8, 2, 2), seed=105)]))
-
-    attn = AxialAttention1D(8, span=3, heads=2, rng=np.random.default_rng(9))
-    proj_a = t((2, 8, 3), seed=106)
-    attn_names = sorted(dict(attn.named_parameters()))
-
-    def f_attn(x, *ws):
-        for name, w in zip(attn_names, ws):
-            setattr(attn, name, w)
-        return (attn(x) * proj_a).sum()
-    suite.append(("axial_1d", f_attn,
-                  [t((2, 8, 3), seed=107)] + [dict(attn.named_parameters())[n]
-                                              for n in attn_names]))
-
-    pair = AxialPairModule(8, 2, 2, heads=2, rng=np.random.default_rng(10))
-    proj_p = t((1, 8, 2, 2), seed=108)
-    pair_names = sorted(dict(pair.named_parameters()))
-
-    def f_pair(x, *ws):
-        for name, w in zip(pair_names, ws):
-            owner, pname = name.split(".")
-            setattr(getattr(pair, owner), pname, w)
-        return (pair(x) * proj_p).sum()
-    suite.append(("axial_pair", f_pair,
-                  [t((1, 8, 2, 2), seed=109)] + [dict(pair.named_parameters())[n]
-                                                 for n in pair_names]))
-
-    from .zoo import AxialBottleneck
-    block = AxialBottleneck(8, 8, 16, span=2, downsample=False, heads=2,
-                            quat_bank=True, rng=np.random.default_rng(11))
-    block_params = dict(block.named_parameters())
-    block_names = sorted(block_params)
-    proj_blk = t((2, 16, 2, 2), seed=110)
-
-    def assign(module, dotted, value):
-        parts = dotted.split(".")
-        target = module
-        for part in parts[:-1]:
-            target = getattr(target, part)
-        setattr(target, parts[-1], value)
-
-    def f_block(x, *ws):
-        for name, w in zip(block_names, ws):
-            assign(block, name, w)
-        return (block(x) * proj_blk).sum()
-    suite.append(("quat_axial_bottleneck", f_block,
-                  [t((2, 8, 2, 2), seed=111)]
-                  + [block_params[n] for n in block_names]))
+    module_case("quaternion_conv", qconv, t((2, 8, 3, 3), seed=102),
+                t((2, 8, 3, 3), seed=103), list(qconv.components()))
+    module_case("quaternion_bank", QuaternionBank1x1(8, rng=np.random.default_rng(8)),
+                t((2, 8, 2, 2), seed=105), t((2, 8, 2, 2), seed=104))
+    module_case("axial_1d", AxialAttention1D(8, span=3, heads=2,
+                                             rng=np.random.default_rng(9)),
+                t((2, 8, 3), seed=107), t((2, 8, 3), seed=106))
+    module_case("axial_pair", AxialPairModule(8, 2, 2, heads=2,
+                                              rng=np.random.default_rng(10)),
+                t((1, 8, 2, 2), seed=109), t((1, 8, 2, 2), seed=108))
+    module_case("quat_axial_bottleneck",
+                AxialBottleneck(8, 8, 16, span=2, downsample=False, heads=2,
+                                quat_bank=True, rng=np.random.default_rng(11)),
+                t((2, 8, 2, 2), seed=111), t((2, 16, 2, 2), seed=110))
     return suite
 
 
@@ -258,6 +215,9 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    for flag in ("batch", "repeat"):
+        if getattr(args, flag) < 1:
+            raise ConfigurationError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     spec = _model_spec(args)
     model = build(spec, seed=args.seed).eval()
     x = Tensor(np.random.default_rng(0)

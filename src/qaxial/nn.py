@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 
 _trace_sink = None
 
@@ -41,6 +41,9 @@ class Module:
         object.__setattr__(self, "training", True)
 
     def __setattr__(self, name, value):
+        if name in self._params and not isinstance(value, Parameter):
+            raise ContractError(
+                f"assigning a non-Parameter over parameter {name!r} would unregister it")
         self._params.pop(name, None)
         self._children.pop(name, None)
         if isinstance(value, Parameter):
@@ -143,7 +146,7 @@ def _he_normal(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32):
 
 class Conv2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0, bias: bool = False,
+                 stride: int = 1, padding: int = 0,
                  rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
@@ -155,29 +158,21 @@ class Conv2d(Module):
         fan_in = in_channels * kernel_size * kernel_size
         self.weight = Parameter(_he_normal(
             rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in))
-        if bias:
-            self.bias = Parameter(np.zeros(out_channels, dtype=np.float32),
-                                  decay=False, kind="bias")
-        else:
-            self.bias = None
 
     def forward(self, x):
-        return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return ad.conv2d(x, self.weight, None, self.stride, self.padding)
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
+    def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         bound = 1.0 / math.sqrt(in_features)
         self.weight = Parameter(
             rng.uniform(-bound, bound, size=(out_features, in_features)).astype(np.float32))
-        if bias:
-            self.bias = Parameter(np.zeros(out_features, dtype=np.float32),
-                                  decay=False, kind="bias")
-        else:
-            self.bias = None
+        self.bias = Parameter(np.zeros(out_features, dtype=np.float32),
+                              decay=False, kind="bias")
 
     def forward(self, x):
         return ad.linear(x, self.weight, self.bias)

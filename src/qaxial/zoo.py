@@ -102,8 +102,10 @@ class ArchitectureSpec:
             raise ConfigurationError("block_multipliers must be 4 integers >= 1")
         if self.num_classes < 2:
             raise ConfigurationError("need at least two classes")
-        if len(self.input_size) != 3 or self.input_size[0] != 3:
-            raise ConfigurationError("input_size must be (3, H, W)")
+        if len(self.input_size) != 3 or self.input_size[0] != 3 \
+                or min(self.input_size) < 1:
+            raise ConfigurationError(
+                f"'input_size' must be (3, H, W) with H, W >= 1, got {self.input_size}")
         if self.heads < 1:
             raise ConfigurationError(f"'heads' must be >= 1, got {self.heads}")
         if not 0 < self.width_scale < math.inf:

@@ -17,6 +17,7 @@ from qaxial.errors import (
     QaxialError,
     ShapeError,
 )
+from qaxial.nn import Linear, Parameter
 from qaxial.quaternion import _EXPANSION
 
 from oracles import naive_conv2d, naive_conv2d_grads
@@ -338,6 +339,30 @@ class TestGradCheckOracle:
 
         with pytest.raises(OracleError):
             grad_check(f, [rand((2,), 0)])
+
+    def test_checks_module_parameters_in_place(self):
+        layer = Linear(3, 2, rng=np.random.default_rng(0))
+        start = {n: p.data.astype(np.float64) for n, p in layer.named_parameters()}
+        x = rand((4, 3), 1)
+        assert grad_check(lambda *_: (layer(x) * layer(x)).sum(),
+                          [x] + list(layer.parameters())) < 1e-7
+        assert sorted(dict(layer.named_parameters())) == ["bias", "weight"]
+        for name, p in layer.named_parameters():
+            assert isinstance(p, Parameter) and p.dtype == np.float64
+            npt.assert_array_equal(p.data, start[name])
+            assert p.grad is not None and p.grad.shape == p.shape
+
+    def test_rejects_input_f_never_reaches(self):
+        x = rand((2,), 0)
+        with pytest.raises(ContractError, match="input 1"):
+            grad_check(lambda a, b: a.sum(), [x, np.ones(2)])
+        with pytest.raises(ContractError, match="input 1"):
+            grad_check(lambda *_: (x * x).sum(), [x, Tensor(x.data.copy())])
+
+    def test_rejects_repeated_input(self):
+        x = rand((2,), 0)
+        with pytest.raises(ContractError, match="more than once"):
+            grad_check(lambda a, b: (a * b).sum(), [x, x])
 
     @pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 3, 2)])
     def test_elementwise_ops_multiple_shapes(self, shape):

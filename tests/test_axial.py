@@ -99,12 +99,6 @@ class TestAxialAttention1D:
         out_perm = layer(Tensor(x[:, :, perm])).data
         npt.assert_allclose(out_perm, out[:, :, perm], rtol=1e-4, atol=1e-6)
 
-    def test_positional_switch_drops_embeddings(self):
-        with_pos = AxialAttention1D(16, span=4, heads=2)
-        without = AxialAttention1D(16, span=4, heads=2, positional=False)
-        diff = with_pos.param_count() - without.param_count()
-        assert diff == 3 * (2 * 4 - 1) * with_pos.dim
-
     def test_configuration_errors(self):
         with pytest.raises(ConfigurationError):
             AxialAttention1D(10, span=4, heads=3)
@@ -116,15 +110,9 @@ class TestAxialAttention1D:
         rng = np.random.default_rng(5)
         layer = AxialAttention1D(8, span=3, heads=2, rng=rng)
         proj = Tensor(rng.normal(size=(2, 8, 3)))
-
-        def f(x, wq, wk, wv, wo, rq, rk, rv):
-            layer.w_q, layer.w_k, layer.w_v, layer.w_out = wq, wk, wv, wo
-            layer.r_q, layer.r_k, layer.r_v = rq, rk, rv
-            return (layer(x) * proj).sum()
-
-        inputs = [Tensor(rng.normal(size=(2, 8, 3))), layer.w_q, layer.w_k,
-                  layer.w_v, layer.w_out, layer.r_q, layer.r_k, layer.r_v]
-        assert grad_check(f, inputs) < 1e-4
+        x = Tensor(rng.normal(size=(2, 8, 3)))
+        assert grad_check(lambda *_: (layer(x) * proj).sum(),
+                          [x] + list(layer.parameters())) < 1e-4
 
     def test_gradients_relative_terms_span_5(self):
         # distinct batch, heads, span and per-head dim, so a swap of the
@@ -133,19 +121,12 @@ class TestAxialAttention1D:
         layer = AxialAttention1D(8, span=5, heads=2, rng=rng)
         assert layer.dim == 2
         proj = Tensor(rng.normal(size=(3, 8, 5)))
-
-        def f(x, wq, wk, wv, wo, rq, rk, rv):
-            layer.w_q, layer.w_k, layer.w_v, layer.w_out = wq, wk, wv, wo
-            layer.r_q, layer.r_k, layer.r_v = rq, rk, rv
-            return (layer(x) * proj).sum()
-
-        inputs = [Tensor(rng.normal(size=(3, 8, 5))), layer.w_q, layer.w_k,
-                  layer.w_v, layer.w_out, layer.r_q, layer.r_k, layer.r_v]
-        assert grad_check(f, inputs) < 1e-4
+        x = Tensor(rng.normal(size=(3, 8, 5)))
+        assert grad_check(lambda *_: (layer(x) * proj).sum(),
+                          [x] + list(layer.parameters())) < 1e-4
         # the checked function is the dense formulation, not a transposed
-        # one; grad_check left its float64 inputs in place on the layer
-        x = inputs[0].data
-        npt.assert_allclose(layer(Tensor(x)).data, run_oracle(layer, x),
+        # one; grad_check left the layer's parameters in float64
+        npt.assert_allclose(layer(x).data, run_oracle(layer, x.data),
                             rtol=1e-7, atol=1e-9)
 
     def test_tape_holds_no_batch_by_pair_by_dim_tensor(self):
@@ -222,17 +203,9 @@ class TestAxialPair:
         rng = np.random.default_rng(11)
         pair = AxialPairModule(8, height=2, width=2, heads=2, rng=rng)
         proj = Tensor(rng.normal(size=(1, 8, 2, 2)))
-        params = dict(pair.named_parameters())
-        names = sorted(params)
-
-        def f(x, *ws):
-            for name, w in zip(names, ws):
-                attn, pname = name.split(".")
-                setattr(getattr(pair, attn), pname, w)
-            return (pair(x) * proj).sum()
-
-        inputs = [Tensor(rng.normal(size=(1, 8, 2, 2)))] + [params[n] for n in names]
-        assert grad_check(f, inputs) < 1e-4
+        x = Tensor(rng.normal(size=(1, 8, 2, 2)))
+        assert grad_check(lambda *_: (pair(x) * proj).sum(),
+                          [x] + list(pair.parameters())) < 1e-4
 
 
 class TestFlopCount:

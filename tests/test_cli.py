@@ -93,6 +93,17 @@ class TestBadInputs:
         assert err.startswith("error:") and "2 classes" in err and "10" in err
         assert not out_dir.exists()  # rejected before any training
 
+    @pytest.mark.parametrize("argv,key", [
+        (["count-params", "--variant", "resnet", "--classes", "0"], "classes"),
+        (["bench", "--variant", "resnet", "--size", "0"], "'input_size'"),
+        (["bench", "--variant", "resnet", "--repeat", "0"], "--repeat"),
+        (["bench", "--variant", "resnet", "--batch", "0"], "--batch"),
+    ], ids=["classes", "size", "repeat", "batch"])
+    def test_zero_integer_flag_exits_1(self, argv, key, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
 
 class TestGradCheckCommand:
     def test_single_module_ok(self, capsys):

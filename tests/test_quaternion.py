@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from qaxial.autodiff import Tensor, backward, conv2d, grad_check
-from qaxial.errors import ConfigurationError, ShapeError
+from qaxial.errors import ConfigurationError, ContractError, ShapeError
+from qaxial.nn import Parameter
 from qaxial.quaternion import (
     IDENTITY,
     Quaternion,
@@ -120,27 +121,26 @@ class TestQuaternionConv2d:
     def test_shared_weight_gradient_sums_over_placements(self):
         proj = Tensor(np.random.default_rng(8).normal(size=(2, 8, 4, 4)))
         x_fixed = Tensor(np.random.default_rng(9).normal(size=(2, 8, 4, 4)))
-
-        def f(wr, wi, wj, wk):
-            layer = QuaternionConv2d(8, 8, 3, padding=1)
-            layer.w_r, layer.w_i, layer.w_j, layer.w_k = wr, wi, wj, wk
-            return (layer(x_fixed) * proj).sum()
-
-        layer0 = QuaternionConv2d(8, 8, 3, rng=np.random.default_rng(10))
-        err = grad_check(f, list(layer0.components()))
+        layer = QuaternionConv2d(8, 8, 3, padding=1, rng=np.random.default_rng(10))
+        err = grad_check(lambda *_: (layer(x_fixed) * proj).sum(),
+                         list(layer.components()))
         assert err < 1e-4
+
+    def test_writing_over_a_parameter_raises(self):
+        layer = QuaternionConv2d(8, 8, 3)
+        with pytest.raises(ContractError, match="'w_r'"):
+            layer.w_r = Tensor(layer.w_r.data, requires_grad=True)
+        assert sorted(dict(layer.named_parameters())) == ["w_i", "w_j", "w_k", "w_r"]
+        layer.w_r = Parameter(layer.w_r.data)  # a Parameter still replaces one
+        assert sorted(dict(layer.named_parameters())) == ["w_i", "w_j", "w_k", "w_r"]
 
     def test_gradients_at_batch_3(self):
         proj = Tensor(np.random.default_rng(11).normal(size=(3, 8, 3, 3)))
-
-        def f(x, wr, wi, wj, wk):
-            layer = QuaternionConv2d(4, 8, 3, stride=2, padding=1)
-            layer.w_r, layer.w_i, layer.w_j, layer.w_k = wr, wi, wj, wk
-            return (layer(x) * proj).sum()
-
-        layer0 = QuaternionConv2d(4, 8, 3, rng=np.random.default_rng(12))
-        x = np.random.default_rng(13).normal(size=(3, 4, 5, 6))
-        err = grad_check(f, [x] + list(layer0.components()))
+        layer = QuaternionConv2d(4, 8, 3, stride=2, padding=1,
+                                 rng=np.random.default_rng(12))
+        x = Tensor(np.random.default_rng(13).normal(size=(3, 4, 5, 6)))
+        err = grad_check(lambda *_: (layer(x) * proj).sum(),
+                         [x] + list(layer.components()))
         assert err < 1e-4
 
     @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (3, 2, 1), (3, 1, 1)])
@@ -209,14 +209,9 @@ class TestQuaternionBank:
     def test_gradients(self):
         x_fixed = Tensor(np.random.default_rng(14).normal(size=(2, 8, 3, 3)))
         proj = Tensor(np.random.default_rng(15).normal(size=(2, 8, 3, 3)))
-
-        def f(wr, wi, wj, wk, x):
-            bank = QuaternionBank1x1(8)
-            bank.w_r, bank.w_i, bank.w_j, bank.w_k = wr, wi, wj, wk
-            return (bank(x) * proj).sum()
-
-        bank0 = QuaternionBank1x1(8, rng=np.random.default_rng(16))
-        err = grad_check(f, list(bank0.components()) + [x_fixed])
+        bank = QuaternionBank1x1(8, rng=np.random.default_rng(16))
+        err = grad_check(lambda *_: (bank(x_fixed) * proj).sum(),
+                         list(bank.components()) + [x_fixed])
         assert err < 1e-4
 
 

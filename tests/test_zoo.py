@@ -103,6 +103,9 @@ class TestSpec:
         ("quat_axial", "heads = -1"), ("axial", "width_scale = nan"),
         ("axial", "width_scale = inf"), ("resnet", "width_scale = nan"),
         ("resnet", "width_scale = -3"), ("quat_resnet", "width_scale = 0"),
+        ("resnet", "input_size = 3x0x0"), ("quat_resnet", "input_size = 3x0x0"),
+        ("axial", "input_size = 3x0x0"), ("quat_axial", "input_size = 3x0x0"),
+        ("resnet", "input_size = 3x-4x-4"),
     ])
     def test_text_out_of_range_value_names_key(self, variant, line):
         key = line.split()[0]
