@@ -355,7 +355,12 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Gather rows of a 2-D tensor; backward scatter-adds into the table."""
+    """Gather rows of a 2-D tensor; backward scatter-adds into the table.
+
+    No model layer records it since ``axial_attention`` gathers its own
+    tables; the composed attention reference uses it, and perfbench's
+    tracer wraps it by name.
+    """
     indices = np.asarray(indices, dtype=np.int64)
     data = a.data[indices]
 
@@ -372,7 +377,8 @@ def take_rows(a: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    mask = a.data <= 0
+    np.logical_not(mask, out=mask)  # NaN passes, so divergence stays visible
     data = np.where(mask, a.data, a.data.dtype.type(0))
 
     def backward(g):
@@ -585,6 +591,134 @@ def quaternion_conv2d(x: Tensor, components, table, stride: int = 1,
                                   kh, kw, stride, padding))
 
     return _result(out, (x, *components), backward, "quaternion_conv2d")
+
+
+def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,
+                    r_v: Tensor, rel_index) -> Tensor:
+    """Multi-head 1-D attention with relative positions, as one tape node.
+
+    ``q``, ``k`` and ``v`` are [N, dim, L] (N = batch * heads), the layout of
+    a head-split projection, and so is the result.  ``r_q``, ``r_k`` and
+    ``r_v`` are [2L-1, dim] tables gathered through ``rel_index`` [L*L]
+    (entry ``o*L + p`` names the row for query o and key p).  With
+    ``rq = r_q[rel_index]`` as [L, L, dim] and ``w = softmax(logits)`` over p::
+
+        logits[n, o, p] = (q_o . k_p + q_o . rq[o, p]) + k_p . rk[o, p]
+        out[n, :, o]    = w[n, o] @ v^T + w[n, o] @ rv[o]
+
+    The content terms are GEMMs batched over n.  The relative terms are GEMMs
+    batched over one position, on position-major [L, N, dim] copies of q and
+    k.  The [N, L, L] logits and weights are never copied: both relative
+    terms are added into them in place through strided views, softmax runs
+    in place, and the weights enter their relative-term GEMMs as views.
+    Only the softmax output is kept for backward; the small copies and the
+    gathered tables are rebuilt there.
+
+    Output and gradients equal those of the same formula composed from
+    ``transpose``, ``matmul``, ``take_rows``, ``add`` and ``softmax`` bit for
+    bit (``composed_axial_attention`` in the tests).  Every float operation
+    runs in the composed order on operands of the composed memory layout,
+    and each input gradient is handed over in the composed layout: BLAS
+    may round a GEMM differently when an operand comes transposed (OpenBLAS
+    0.3.31 does at dim 32) or a gemv (N = 1 or dim = 1) with another
+    leading dimension, and numpy runs its own loop for operands BLAS cannot
+    take.
+    """
+    k, v, r_q, r_k, r_v = (_coerce(t, q) for t in (k, v, r_q, r_k, r_v))
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"axial_attention: q, k and v must share one [N, dim, L] "
+                         f"shape, got {q.shape}, {k.shape}, {v.shape}")
+    _, dim, span = q.shape
+    for name, t in (("r_q", r_q), ("r_k", r_k), ("r_v", r_v)):
+        if t.shape != (2 * span - 1, dim):
+            raise ShapeError(f"axial_attention: {name} must be "
+                             f"[{2 * span - 1}, {dim}], got {list(t.shape)}")
+    rel_index = np.asarray(rel_index)
+    if rel_index.shape != (span * span,):
+        raise ShapeError(f"axial_attention: rel_index must have {span * span} "
+                         f"entries, got shape {rel_index.shape}")
+    if not (np.issubdtype(rel_index.dtype, np.integer)
+            and 0 <= rel_index.min() and rel_index.max() < 2 * span - 1):
+        raise ShapeError(f"axial_attention: rel_index must hold integers in "
+                         f"[0, {2 * span - 1})")
+    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, k, v))
+
+    def copy(a, axes):
+        return np.ascontiguousarray(a.transpose(axes))
+
+    def rows(a):  # [N, dim, L] -> [N, L, dim]
+        return copy(a, (0, 2, 1))
+
+    def by_position(a):  # [N, dim, L] -> [L, N, dim]
+        return copy(a, (2, 0, 1))
+
+    def gathered(table):  # [o, p, dim]
+        return table.data[rel_index].reshape(span, span, dim)
+
+    def weights_by_query(w):  # [o, N, p]
+        # a copy only where numpy takes gemv (dim 1), which rounds by stride
+        return w.transpose(1, 0, 2) if dim > 1 else copy(w, (1, 0, 2))
+
+    w = np.matmul(rows(qd), kd)  # [N, o, p]
+    # q_o . rq[o, p]: [o, N, dim] @ [o, dim, p] -> [o, N, p]
+    w += np.matmul(by_position(qd), copy(gathered(r_q), (0, 2, 1))).transpose(1, 0, 2)
+    # k_p . rk[o, p]: [p, N, dim] @ [p, dim, o] -> [p, N, o]
+    w += np.matmul(by_position(kd), copy(gathered(r_k), (1, 2, 0))).transpose(1, 2, 0)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = np.matmul(w, rows(vd))  # [N, o, dim]
+    # w[o] @ rv[o]: [o, N, p] @ [o, p, dim] -> [o, N, dim]
+    out += np.matmul(weights_by_query(w), gathered(r_v)).transpose(1, 0, 2)
+    data = copy(out, (0, 2, 1))
+    del out
+
+    def scatter(table, g_opd):  # g_opd: gradient of the gathered table, [o, p, dim]
+        full = np.zeros(table.shape, dtype=g_opd.dtype)
+        np.add.at(full, rel_index, g_opd.reshape(span * span, dim))
+        table._accumulate(full)
+
+    def backward(g):
+        gout = g.transpose(0, 2, 1)  # [N, o, dim]
+        gout_pos = gout.transpose(1, 0, 2)  # [o, N, dim]
+        if v.requires_grad:
+            v._accumulate(np.matmul(w.transpose(0, 2, 1), gout).transpose(0, 2, 1))
+        if r_v.requires_grad:
+            scatter(r_v, np.matmul(weights_by_query(w).transpose(0, 2, 1), gout_pos))
+        if not (q.requires_grad or k.requires_grad
+                or r_q.requires_grad or r_k.requires_grad):
+            return
+        # softmax backward, in place on the sum of w's two gradients
+        gw = np.matmul(gout, rows(vd).transpose(0, 2, 1))
+        gw += np.matmul(gout_pos, gathered(r_v).transpose(0, 2, 1)).transpose(1, 0, 2)
+        inner = (gw * w).sum(axis=-1, keepdims=True)
+        gw -= inner
+        gw *= w
+        del inner
+        gw_pos = gw.transpose(1, 0, 2)  # [o, N, p]
+        gwk_pos = gw.transpose(2, 0, 1)  # [p, N, o]
+        # q and k gradients are summed out of place, as the tape sums them,
+        # so the sum and the transposed view handed over have its layout
+        if q.requires_grad:
+            rq_t = copy(gathered(r_q), (0, 2, 1))
+            gq = (np.matmul(gw, kd.transpose(0, 2, 1))  # [N, o, dim]
+                  + np.matmul(gw_pos, rq_t.transpose(0, 2, 1)).transpose(1, 0, 2))
+            q._accumulate(gq.transpose(0, 2, 1))
+        if r_q.requires_grad:
+            grq = np.matmul(by_position(qd).transpose(0, 2, 1), gw_pos)  # [o, dim, p]
+            scatter(r_q, grq.transpose(0, 2, 1))
+        if k.requires_grad:
+            rk_t = copy(gathered(r_k), (1, 2, 0))
+            gk = (np.matmul(rows(qd).transpose(0, 2, 1), gw).transpose(0, 2, 1)  # [N, p, dim]
+                  + np.matmul(gwk_pos, rk_t.transpose(0, 2, 1)).transpose(1, 0, 2))
+            k._accumulate(gk.transpose(0, 2, 1))
+        if r_k.requires_grad:
+            grk = np.matmul(by_position(kd).transpose(0, 2, 1), gwk_pos)  # [p, dim, o]
+            scatter(r_k, grk.transpose(2, 0, 1))
+
+    # parent order fixes the order in which a backward walk adds the q, v
+    # and k gradients into their common projection input
+    return _result(data, (q, v, k, r_q, r_k, r_v), backward, "axial_attention")
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:

@@ -10,17 +10,16 @@ where rq/rk/rv are learned relative-position embeddings shared across heads.
 Head outputs are concatenated and passed through an output projection, so the
 channel count is preserved.
 
-The content terms q.k and weights.v are GEMMs batched over (batch, head).
-The relative terms are GEMMs batched over one sequence position instead,
-because the gathered table rq/rk/rv[o, p] differs per position while the
-B*heads rows that use it share it (w = softmax(logits)):
-
-    q_o . rq[o, p]    [L_o, B*h, dim] @ [L_o, dim, L_p] -> [L_o, B*h, L_p]
-    k_p . rk[o, p]    [L_p, B*h, dim] @ [L_p, dim, L_o] -> [L_p, B*h, L_o]
-    w[o, p] rv[o, p]  [L_o, B*h, L_p] @ [L_o, L_p, dim] -> [L_o, B*h, dim]
-
-Transposes move these position-major results into and out of the
-[B*h, L_o, L_p] logits; no [B, h, L, L, dim] broadcast is ever formed.
+The attention core is one autodiff op, ``autodiff.axial_attention``, so the
+layer records nine tape nodes: the q, k and v projection matmuls, their free
+reshapes from [B, heads*dim, L] to [B*heads, dim, L], the op, one reshape
+back and the output matmul.  Inside the op the content terms q.k and
+weights.v are GEMMs batched over (batch, head), and the relative terms are
+GEMMs batched over one sequence position, because the gathered table
+rq/rk/rv[o, p] differs per position while the B*heads rows that use it
+share it.  Their results are added into the [B*heads, L, L] logits and the
+output in place through strided views; no [B, h, L, L, dim] broadcast is
+ever formed, and the op's backward is written by hand.
 
 Heads are half width: the per-head dim is C // (2*heads), floored at one
 channel.  Together with the output projection this prices one 1-D layer at
@@ -78,40 +77,19 @@ class AxialAttention1D(Module):
         self.register_buffer(
             "rel_index", (pos[None, :] - pos[:, None] + span - 1).reshape(-1))
 
-    def _split_heads(self, projected):
-        # [B, heads*dim, L] -> [B*heads, L, dim]
-        rows = projected.shape[0] * self.heads
-        t = ad.reshape(projected, (rows, self.dim, self.span))
-        return ad.transpose(t, (0, 2, 1))
-
     def forward(self, x: Tensor) -> Tensor:
         bsz, channels, span = x.shape
         if channels != self.channels or span != self.span:
             raise ConfigurationError(
                 f"layer configured for [{self.channels}, {self.span}], "
                 f"got input [{channels}, {span}]")
-        q = self._split_heads(ad.matmul(self.w_q, x))
-        k = self._split_heads(ad.matmul(self.w_k, x))
-        v = self._split_heads(ad.matmul(self.w_v, x))
-
-        logits = ad.matmul(q, ad.transpose(k, (0, 2, 1)))  # [B*h, o, p]
-        shape = (span, span, self.dim)  # [o, p, dim]
-        rq = ad.reshape(ad.take_rows(self.r_q, self.rel_index), shape)
-        rk = ad.reshape(ad.take_rows(self.r_k, self.rel_index), shape)
-        rv = ad.reshape(ad.take_rows(self.r_v, self.rel_index), shape)
-        # q_o . rq[o, p]: [o, B*h, dim] @ [o, dim, p] -> [o, B*h, p]
-        qr = ad.matmul(ad.transpose(q, (1, 0, 2)), ad.transpose(rq, (0, 2, 1)))
-        # k_p . rk[o, p]: [p, B*h, dim] @ [p, dim, o] -> [p, B*h, o]
-        kr = ad.matmul(ad.transpose(k, (1, 0, 2)), ad.transpose(rk, (1, 2, 0)))
-        logits = logits + ad.transpose(qr, (1, 0, 2)) + ad.transpose(kr, (1, 2, 0))
-
-        weights = ad.softmax(logits, axis=-1)
-        out = ad.matmul(weights, v)  # [B*h, o, dim]
-        # w[o] @ rv[o]: [o, B*h, p] @ [o, p, dim] -> [o, B*h, dim]
-        wr = ad.matmul(ad.transpose(weights, (1, 0, 2)), rv)
-        out = out + ad.transpose(wr, (1, 0, 2))
-        merged = ad.reshape(ad.transpose(out, (0, 2, 1)),
-                            (bsz, self.heads * self.dim, span))
+        # [B, heads*dim, L] -> [B*heads, dim, L]: head split is a free reshape
+        split = (bsz * self.heads, self.dim, span)
+        q, k, v = (ad.reshape(ad.matmul(w, x), split)
+                   for w in (self.w_q, self.w_k, self.w_v))
+        out = ad.axial_attention(q, k, v, self.r_q, self.r_k, self.r_v,
+                                 self.rel_index)
+        merged = ad.reshape(out, (bsz, self.heads * self.dim, span))
         return ad.matmul(self.w_out, merged)
 
 

@@ -99,9 +99,11 @@ class ArchitectureSpec:
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if len(self.block_multipliers) != 4 or min(self.block_multipliers) < 1:
-            raise ConfigurationError("block_multipliers must be 4 integers >= 1")
+            raise ConfigurationError(
+                f"'multipliers' must be 4 integers >= 1, got {self.block_multipliers}")
         if self.num_classes < 2:
-            raise ConfigurationError("need at least two classes")
+            raise ConfigurationError(
+                f"'num_classes' must be >= 2, got {self.num_classes}")
         if len(self.input_size) != 3 or self.input_size[0] != 3 \
                 or min(self.input_size) < 1:
             raise ConfigurationError(

@@ -3,10 +3,14 @@
 Everything here is deliberately written by a different route than the
 package code it checks: explicit nested loops, dense matrices, and the
 quaternion unit multiplication table instead of im2col, batched matmuls,
-and the hard-coded Hamilton sign pattern.
+and the hard-coded Hamilton sign pattern.  The one exception is
+``composed_axial_attention``, the primitive-op formulation that the fused
+attention op must reproduce bit for bit.
 """
 
 import numpy as np
+
+from qaxial import autodiff as ad
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=0):
@@ -156,3 +160,32 @@ def dense_attention_1d(x, wq, wk, wv, wo, r_q, r_k, r_v, heads):
     for b in range(bsz):
         result[b] = wo @ out[b]
     return result
+
+
+def composed_axial_attention(q, k, v, r_q, r_k, r_v, rel_index):
+    """``autodiff.axial_attention`` composed from primitive tape ops.
+
+    Same inputs and output ([N, dim, L] q/k/v/out, [2L-1, dim] tables).
+    This is the formulation ``AxialAttention1D`` recorded before the fused
+    op: contiguous transposes into and out of the logits, one tape node per
+    op.  The fused op must equal it bit for bit, forward and backward.
+    """
+    q, k, v = (ad.transpose(t, (0, 2, 1)) for t in (q, k, v))  # [N, L, dim]
+    span, dim = q.shape[1], q.shape[2]
+    logits = ad.matmul(q, ad.transpose(k, (0, 2, 1)))  # [N, o, p]
+    shape = (span, span, dim)  # [o, p, dim]
+    rq = ad.reshape(ad.take_rows(r_q, rel_index), shape)
+    rk = ad.reshape(ad.take_rows(r_k, rel_index), shape)
+    rv = ad.reshape(ad.take_rows(r_v, rel_index), shape)
+    # q_o . rq[o, p]: [o, N, dim] @ [o, dim, p] -> [o, N, p]
+    qr = ad.matmul(ad.transpose(q, (1, 0, 2)), ad.transpose(rq, (0, 2, 1)))
+    # k_p . rk[o, p]: [p, N, dim] @ [p, dim, o] -> [p, N, o]
+    kr = ad.matmul(ad.transpose(k, (1, 0, 2)), ad.transpose(rk, (1, 2, 0)))
+    logits = logits + ad.transpose(qr, (1, 0, 2)) + ad.transpose(kr, (1, 2, 0))
+
+    weights = ad.softmax(logits, axis=-1)
+    out = ad.matmul(weights, v)  # [N, o, dim]
+    # w[o] @ rv[o]: [o, N, p] @ [o, p, dim] -> [o, N, dim]
+    wr = ad.matmul(ad.transpose(weights, (1, 0, 2)), rv)
+    out = out + ad.transpose(wr, (1, 0, 2))
+    return ad.transpose(out, (0, 2, 1))

@@ -180,6 +180,13 @@ class TestElementwiseAndReductions:
         assert (out >= 0).all()
         assert abs(out.sum() - 1.0) <= 1e-6
 
+    def test_relu_propagates_nan(self):
+        x = Tensor(np.array([np.nan, -1.0, -0.0, 0.0, 2.0]), requires_grad=True)
+        out = ad.relu(x)
+        npt.assert_array_equal(out.data, [np.nan, 0.0, 0.0, 0.0, 2.0])
+        backward(out.sum())
+        npt.assert_array_equal(x.grad, [1.0, 0.0, 0.0, 0.0, 1.0])
+
     def test_max_pool_ramp(self):
         ramp = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
         out = ad.max_pool2d(ramp, 3, 2)

@@ -12,9 +12,9 @@ from qaxial.axial import (
     axial_flop_count,
     full_attention_flop_count,
 )
-from qaxial.errors import ConfigurationError
+from qaxial.errors import ConfigurationError, ShapeError
 
-from oracles import dense_attention_1d
+from oracles import composed_axial_attention, dense_attention_1d
 
 
 def run_oracle(layer, x):
@@ -145,10 +145,106 @@ class TestAxialAttention1D:
             if node._parents:
                 results.append(node)
             todo.extend(node._parents)
-        assert len(results) > 20
+        fused = [node for node in results
+                 if node._backward_fn.__qualname__.startswith("axial_attention.")]
+        assert len(fused) == 1
         for node in results:
             assert node.ndim < 5, node.shape
             assert node.size <= limit, node.shape
+        # what the fused node keeps for backward stays within one [B*h, L, L]
+        kept = [cell.cell_contents for cell in fused[0]._backward_fn.__closure__]
+        arrays = [c.data if isinstance(c, Tensor) else c for c in kept
+                  if isinstance(c, (Tensor, np.ndarray))]
+        assert arrays
+        for arr in arrays:
+            assert arr.size <= limit, arr.shape
+
+
+def op_inputs(n, dim, span, dtype=np.float32, seed=0):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(n, dim, span)) for _ in range(3)]
+    arrays += [rng.normal(size=(2 * span - 1, dim)) for _ in range(3)]
+    pos = np.arange(span)
+    rel_index = (pos[None, :] - pos[:, None] + span - 1).reshape(-1)
+    return [a.astype(dtype) for a in arrays], rel_index
+
+
+def output_and_grads(op, arrays, rel_index):
+    """op's output and the gradients of its six inputs under a fixed
+    random projection of the output."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*inputs, rel_index)
+    proj = np.random.default_rng(99).normal(size=out.shape).astype(out.dtype)
+    ad.backward((out * Tensor(proj)).sum())
+    return [out.data] + [t.grad for t in inputs]
+
+
+class TestAxialAttentionOp:
+    """``autodiff.axial_attention`` against its composed tape formulation."""
+
+    @pytest.mark.parametrize("span", (1, 5, 8, 14, 56))
+    @pytest.mark.parametrize("n", (1, 20))
+    @pytest.mark.parametrize("dim", (1, 3, 8, 32))
+    def test_bitwise_equal_to_composed_ops(self, span, n, dim):
+        arrays, rel_index = op_inputs(n, dim, span, seed=span * 100 + n + dim)
+        got = output_and_grads(ad.axial_attention, arrays, rel_index)
+        want = output_and_grads(composed_axial_attention, arrays, rel_index)
+        for name, a, b in zip(("out", "q", "k", "v", "r_q", "r_k", "r_v"), got, want):
+            assert a.dtype == np.float32, name
+            npt.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("span", (1, 5, 8, 14, 56))
+    @pytest.mark.parametrize("bsz,heads", ((1, 1), (5, 4)))
+    def test_layer_bitwise_equal_to_composed_ops(self, span, bsz, heads, monkeypatch):
+        # x receives three gradients (through q, k and v), so this also pins
+        # the order in which the backward walk adds them
+        channels = 6 * heads
+
+        def run():
+            rng = np.random.default_rng(span)
+            layer = AxialAttention1D(channels, span=span, heads=heads, rng=rng)
+            x = Tensor(rng.normal(size=(bsz, channels, span)).astype(np.float32),
+                       requires_grad=True)
+            out = layer(x)
+            proj = rng.normal(size=out.shape).astype(np.float32)
+            ad.backward((out * Tensor(proj)).sum())
+            return [out.data, x.grad] + [p.grad for p in layer.parameters()]
+
+        got = run()
+        monkeypatch.setattr(ad, "axial_attention", composed_axial_attention)
+        want = run()
+        assert len(got) == len(want) == 9
+        for i, (a, b) in enumerate(zip(got, want)):
+            npt.assert_array_equal(a, b, err_msg=f"entry {i}")
+
+    def test_grad_check_float64(self):
+        arrays, rel_index = op_inputs(3, 2, 4, dtype=np.float64, seed=1)
+        proj = Tensor(np.random.default_rng(2).normal(size=(3, 2, 4)))
+        inputs = [Tensor(a) for a in arrays]
+        assert grad_check(
+            lambda *ts: (ad.axial_attention(*ts, rel_index) * proj).sum(),
+            inputs) < 1e-4
+
+    @pytest.mark.parametrize("case", ("q_k_shape", "v_shape", "not_3d", "table_rows",
+                                      "table_dim", "index_length", "index_range"))
+    def test_bad_shapes_raise(self, case):
+        (q, k, v, r_q, r_k, r_v), rel_index = op_inputs(2, 3, 4)
+        if case == "q_k_shape":
+            k = k[:, :, :3]
+        elif case == "v_shape":
+            v = v[:1]
+        elif case == "not_3d":
+            q, k, v = q[0], k[0], v[0]
+        elif case == "table_rows":
+            r_k = r_k[:-1]
+        elif case == "table_dim":
+            r_v = r_v[:, :2]
+        elif case == "index_length":
+            rel_index = rel_index[:-1]
+        else:
+            rel_index = rel_index + 1
+        with pytest.raises(ShapeError):
+            ad.axial_attention(*(Tensor(a) for a in (q, k, v, r_q, r_k, r_v)), rel_index)
 
 
 class TestAxialPair:

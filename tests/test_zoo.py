@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from qaxial import autodiff as ad
 from qaxial.autodiff import Tensor, no_grad
 from qaxial.errors import ConfigurationError, ShapeError
 from qaxial.zoo import (
@@ -105,7 +106,8 @@ class TestSpec:
         ("resnet", "width_scale = -3"), ("quat_resnet", "width_scale = 0"),
         ("resnet", "input_size = 3x0x0"), ("quat_resnet", "input_size = 3x0x0"),
         ("axial", "input_size = 3x0x0"), ("quat_axial", "input_size = 3x0x0"),
-        ("resnet", "input_size = 3x-4x-4"),
+        ("resnet", "input_size = 3x-4x-4"), ("resnet", "num_classes = 1"),
+        ("axial", "multipliers = 1,2,0,1"),
     ])
     def test_text_out_of_range_value_names_key(self, variant, line):
         key = line.split()[0]
@@ -208,6 +210,40 @@ class TestForwardShapes:
         with pytest.raises(ShapeError):
             with no_grad():
                 model(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
+
+
+class TestTrainingStepTape:
+    """One criterion-9 training step: quat_axial (1,1,1,1), width 0.25, 32 px,
+    batch 10."""
+
+    def batch(self):
+        rng = np.random.default_rng(3)
+        return (rng.normal(size=(10, 3, 32, 32)).astype(np.float32),
+                np.arange(10) % 10)
+
+    def test_tape_op_node_count(self):
+        # each axial layer records 3 projection matmuls, 3 head-split
+        # reshapes, one axial_attention node, one reshape and the output
+        # matmul; the composed attention recorded 392 nodes here
+        x, labels = self.batch()
+        loss = ad.cross_entropy(build(small_spec("quat_axial"))(Tensor(x)), labels)
+        seen, todo, ops = set(), [loss], 0
+        while todo:
+            node = todo.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            ops += bool(node._parents)
+            todo.extend(node._parents)
+        assert ops == 176
+
+    def test_nan_pixel_gives_non_finite_logits(self):
+        # train-mode batch norm spreads one NaN over its channel; relu must
+        # pass it on rather than zero it, or the loss stays finite (ln 10)
+        x, _ = self.batch()
+        x[0, 0, 0, 0] = np.nan
+        logits = build(small_spec("quat_axial"))(Tensor(x)).data
+        assert not np.isfinite(logits).all()
 
 
 class TestSummarize:
