@@ -1,0 +1,22 @@
+#!/usr/bin/env bash
+# CLI round trip on a tiny synthetic dataset: train one epoch, resume to
+# epoch 2 from its checkpoint, evaluate the result.  Each command must exit 0.
+# Run from the repository root: bash scripts/cli_round_trip.sh
+set -euo pipefail
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+qaxial() { python3 -m qaxial.cli "$@"; }
+
+data=synthetic://classes=2,per_class=5,size=32,seed=0
+config() { printf 'epochs = %s\nbatch_size = 5\nbase_lr = 0.01\nwarmup_epochs = 1\ndecay_epochs =\n' "$1"; }
+config 1 > "$work/one.cfg"
+config 2 > "$work/two.cfg"
+
+qaxial train --variant quat_axial --width-scale 0.25 --data "$data" \
+    --config "$work/one.cfg" --out "$work/run"
+qaxial train --variant quat_axial --width-scale 0.25 --data "$data" \
+    --config "$work/two.cfg" --out "$work/run" --resume "$work/run/checkpoint.qx"
+test "$(wc -l < "$work/run/history.csv")" -eq 3  # header + epochs 0 and 1
+qaxial eval --checkpoint "$work/run/checkpoint.qx" --data "$data"

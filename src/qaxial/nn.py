@@ -139,6 +139,17 @@ class ModuleList(Module):
         return x
 
 
+class _ZeroDraws:
+    """Stands in for a ``Generator`` when a model's values are about to be
+    overwritten (``Model(spec, seed=None)``): every draw is zeros, so layers
+    allocate their arrays without computing an initialisation."""
+
+    def normal(self, *args, size, **kwargs):
+        return np.zeros(size)
+
+    uniform = rayleigh = normal
+
+
 def _he_normal(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32):
     std = math.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape).astype(dtype)

@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigurationError, ShapeError
-from .nn import Module, Parameter
+from .nn import Module, Parameter, _ZeroDraws
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,8 @@ def quaternion_init(q_in: int, q_out: int, kh: int, kw: int,
     """
     if min(q_in, q_out, kh, kw) < 1:
         raise ConfigurationError("quaternion_init needs positive dimensions")
+    if isinstance(seed, _ZeroDraws):  # zero draws have no direction to normalise
+        return np.zeros((4, q_out, q_in, kh, kw))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = q_out * q_in * kh * kw
     fan_in = 4 * q_in * kh * kw
@@ -91,11 +93,19 @@ def quaternion_init(q_in: int, q_out: int, kh: int, kw: int,
     sigma = math.sqrt(4.0 / (fan_in + fan_out))
     s = rng.rayleigh(scale=sigma, size=n)
     theta = rng.uniform(-math.pi, math.pi, size=n)
-    u = rng.normal(size=(n, 3))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u = rng.normal(size=(n, 3)).T
+    norm = u[0] * u[0]
+    norm += u[1] * u[1]
+    norm += u[2] * u[2]
+    np.sqrt(norm, out=norm)
     comp = np.empty((4, n), dtype=np.float64)
-    comp[0] = s * np.cos(theta)
-    comp[1:] = (s * np.sin(theta)) * u.T
+    np.cos(theta, out=comp[0])
+    comp[0] *= s
+    np.sin(theta, out=theta)
+    theta *= s
+    comp[1:] = u
+    comp[1:] /= norm
+    comp[1:] *= theta
     return comp.reshape(4, q_out, q_in, kh, kw)
 
 

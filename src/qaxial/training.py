@@ -9,7 +9,6 @@ remaining epochs bit-exactly.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import os
 import struct
@@ -269,30 +268,27 @@ _DTYPE_TAGS = {np.dtype(np.float32): 1, np.dtype(np.float64): 2,
 _TAG_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i8")}
 
 
-def _checksum(payload: bytes) -> bytes:
+def _checksum(payload) -> bytes:
     return hashlib.blake2b(payload, digest_size=8).digest()
 
 
-def _write_tensor(buf: io.BytesIO, name: str, arr: np.ndarray):
+def _write_tensor(emit, name: str, arr: np.ndarray):
     tag = _DTYPE_TAGS.get(arr.dtype)
     if tag is None:
         raise ContractError(f"cannot serialize dtype {arr.dtype} for {name!r}")
     encoded = name.encode()
-    buf.write(struct.pack("<H", len(encoded)))
-    buf.write(encoded)
-    raw = np.ascontiguousarray(arr).astype(_TAG_DTYPES[tag], copy=False).tobytes()
-    buf.write(struct.pack("<BB", tag, arr.ndim))
-    buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    buf.write(struct.pack("<Q", len(raw)))
-    buf.write(raw)
+    raw = np.ascontiguousarray(arr).astype(_TAG_DTYPES[tag], copy=False)
+    emit(struct.pack("<H", len(encoded)) + encoded
+         + struct.pack(f"<BB{arr.ndim}IQ", tag, arr.ndim, *arr.shape, raw.nbytes))
+    emit(raw)
 
 
 class _Reader:
-    def __init__(self, payload: bytes):
+    def __init__(self, payload: memoryview):
         self.payload = payload
         self.pos = 0
 
-    def read(self, n: int) -> bytes:
+    def read(self, n: int) -> memoryview:
         if self.pos + n > len(self.payload):
             raise CheckpointIntegrityError("checkpoint truncated")
         out = self.payload[self.pos:self.pos + n]
@@ -304,7 +300,7 @@ class _Reader:
 
     def text(self, n: int, what: str) -> str:
         try:
-            return self.read(n).decode()
+            return str(self.read(n), "utf-8")
         except UnicodeDecodeError:
             raise CheckpointIntegrityError(f"{what} is not UTF-8") from None
 
@@ -321,39 +317,40 @@ def _read_tensor(reader: _Reader):
     if nbytes != math.prod(shape) * dtype.itemsize:
         raise CheckpointIntegrityError(
             f"tensor {name}: {nbytes} bytes do not fill shape {shape} of {dtype}")
+    # the one copy: owned, aligned and writable, in native byte order
     arr = np.frombuffer(reader.read(nbytes), dtype=dtype).reshape(shape)
     return name, arr.astype(dtype.newbyteorder("="))
 
 
 def checkpoint_save(path, model: Model, optimizer: SGDMomentum, epoch: int) -> None:
-    """Write model parameters, buffers, and optimizer velocity with a checksum."""
-    blob = spec_to_text(model.spec) + fields.write({
+    """Write model parameters, buffers, and optimizer velocity with a checksum.
+
+    Each header and tensor buffer goes straight to the checksum and the file;
+    the payload is never assembled in memory.
+    """
+    blob = (spec_to_text(model.spec) + fields.write({
         "epoch": epoch, "momentum": optimizer.momentum,
         "weight_decay": optimizer.weight_decay,
-        "decay_bn_params": optimizer.decay_bn_params})
-
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _VERSION))
-    encoded = blob.encode()
-    buf.write(struct.pack("<I", len(encoded)))
-    buf.write(encoded)
-
+        "decay_bn_params": optimizer.decay_bn_params})).encode()
     entries = [("param/" + name, p.data) for name, p in model.named_parameters()]
     entries += [("buffer/" + name, b) for name, b in model.named_buffers()]
     entries += [("vel/" + name, v) for name, v in optimizer.velocity.items()]
-    buf.write(struct.pack("<I", len(entries)))
-    for name, arr in entries:
-        _write_tensor(buf, name, arr)
-    payload = buf.getvalue()
-    # write beside the target and swap it in, so a crash leaves the previous
-    # checkpoint whole
+    # write beside the target and swap it in, so a crash (or a tensor that
+    # cannot be written) leaves the previous checkpoint whole
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.blake2b(digest_size=8)
     try:
         with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.write(_checksum(payload))
+            def emit(chunk):
+                digest.update(chunk)
+                fh.write(chunk)
+
+            emit(_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob
+                 + struct.pack("<I", len(entries)))
+            for name, arr in entries:
+                _write_tensor(emit, name, arr)
+            fh.write(digest.digest())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -362,10 +359,10 @@ def checkpoint_save(path, model: Model, optimizer: SGDMomentum, epoch: int) -> N
         raise
 
 
-def checkpoint_load(path):
-    """Rebuild (model, optimizer, epoch) from a checkpoint file, bit-exactly."""
+def _read_checkpoint(path):
+    """The metadata fields and the named tensors of a checksummed file."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = memoryview(fh.read())
     if len(raw) < len(_MAGIC) + 12:
         raise CheckpointIntegrityError("checkpoint truncated")
     payload, digest = raw[:-8], raw[-8:]
@@ -381,8 +378,6 @@ def checkpoint_load(path):
     meta = fields.read(reader.text(blob_len, "metadata blob"), {
         **SPEC_CASTS, "epoch": int, "momentum": float, "weight_decay": float,
         "decay_bn_params": _parse_flag}, {})
-    model = Model(spec_from_fields(meta), seed=0)
-
     (count,) = reader.unpack("<I")
     tensors = {}
     for _ in range(count):
@@ -390,24 +385,39 @@ def checkpoint_load(path):
         if key in tensors:
             raise CheckpointIntegrityError(f"duplicate tensor {key}")
         tensors[key] = arr
+    return meta, tensors
 
-    def take(key, shape):
+
+def checkpoint_load(path):
+    """Rebuild (model, optimizer, epoch) from a checkpoint file, bit-exactly.
+
+    The model is allocated without drawing an initialisation, and each
+    tensor is copied once, out of the file bytes, which are freed before
+    the model is allocated.
+    """
+    meta, tensors = _read_checkpoint(path)
+    model = Model(spec_from_fields(meta), seed=None)
+
+    def take(key, like: np.ndarray):
         arr = tensors.pop(key, None)
-        if arr is None or arr.shape != shape:
+        if arr is None or arr.shape != like.shape:
             raise CheckpointIntegrityError(f"missing or misshapen tensor {key}")
-        return np.ascontiguousarray(arr)
+        if arr.dtype != like.dtype:
+            raise CheckpointIntegrityError(
+                f"tensor {key} is {arr.dtype}, the model needs {like.dtype}")
+        return arr
 
     for name, p in model.named_parameters():
-        p.data = take("param/" + name, p.data.shape)
+        p.data = take("param/" + name, p.data)
     for name, mod in model.named_modules():
         for bname, buf in list(mod._buffers.items()):
             full = f"{name}.{bname}" if name else bname
-            mod.register_buffer(bname, take("buffer/" + full, buf.shape))
+            mod.register_buffer(bname, take("buffer/" + full, buf))
 
     optimizer = SGDMomentum(model.named_parameters(), meta["momentum"],
                             meta["weight_decay"], meta["decay_bn_params"])
     for name, vel in optimizer.velocity.items():
-        optimizer.velocity[name] = take("vel/" + name, vel.shape)
+        optimizer.velocity[name] = take("vel/" + name, vel)
     if tensors:
         raise CheckpointIntegrityError(f"unexpected tensor {min(tensors)}")
     return model, optimizer, meta["epoch"]

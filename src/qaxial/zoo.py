@@ -36,6 +36,7 @@ from .nn import (
     Module,
     ModuleList,
     ReLU,
+    _ZeroDraws,
 )
 from .quaternion import QuaternionBank1x1, QuaternionConv2d, expand_to_quaternion_input
 
@@ -227,12 +228,16 @@ class AxialBottleneck(Module):
 
 
 class Model(Module):
-    """A built architecture: ordered layers plus its spec metadata."""
+    """A built architecture: ordered layers plus its spec metadata.
 
-    def __init__(self, spec: ArchitectureSpec, seed: int = 0):
+    ``seed=None`` allocates every array as zeros and draws nothing, for a
+    caller that overwrites all values next (``checkpoint_load``).
+    """
+
+    def __init__(self, spec: ArchitectureSpec, seed: int | None = 0):
         super().__init__()
         self.spec = spec
-        rng = np.random.default_rng(seed)
+        rng = _ZeroDraws() if seed is None else np.random.default_rng(seed)
         stem_out = spec.stem_channels()
 
         if spec.variant == "resnet":

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 from pathlib import Path
@@ -58,6 +59,8 @@ momentum = 0.9
 weight_decay = 9e-05
 decay_bn_params = True
 """
+# sha256 of the file test_file_bytes_are_pinned writes
+CHECKPOINT_SHA256 = "9d3943fea57eb281ac96c5e248de26ab7007e688418eed16594beebcbf689a97"
 
 
 def reseal(path, payload):
@@ -79,6 +82,34 @@ def first_tensor_offsets(payload):
     (name_len,) = struct.unpack_from("<H", payload, name_at - 2)
     ndim = payload[name_at + name_len + 1]
     return name_at, name_at + name_len + 2 + 4 * ndim
+
+
+def training_state(model, optimizer):
+    """Every array a checkpoint holds, by its checkpoint key (live references)."""
+    state = {"param/" + name: p.data for name, p in model.named_parameters()}
+    state.update(("buffer/" + name, b) for name, b in model.named_buffers())
+    state.update(("vel/" + name, v) for name, v in optimizer.velocity.items())
+    return state
+
+
+def record_boundaries(payload):
+    """Offset after each record of a checkpoint payload (checksum excluded):
+    magic, version, blob, tensor count, then each tensor's header and data."""
+    ends = [8, 12]
+    (blob_len,) = struct.unpack_from("<I", payload, 12)
+    ends += [16 + blob_len, 20 + blob_len]
+    (count,) = struct.unpack_from("<I", payload, 16 + blob_len)
+    at = ends[-1]
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", payload, at)
+        ndim = payload[at + 2 + name_len + 1]
+        at += 2 + name_len + 2 + 4 * ndim
+        (nbytes,) = struct.unpack_from("<Q", payload, at)
+        at += 8
+        ends += [at, at + nbytes]
+        at += nbytes
+    assert at == len(payload)
+    return ends
 
 
 def tiny_spec(**overrides):
@@ -451,6 +482,69 @@ class TestCheckpoint:
         with pytest.raises(CheckpointIntegrityError,
                            match=re.escape("duplicate tensor param/" + params[0][0])):
             checkpoint_load(path)
+
+    def test_wrong_dtype_is_rejected(self, tmp_path):
+        model, opt, _, _ = self._trained(tmp_path)
+        model.stem_conv.weight.data = model.stem_conv.weight.data.astype(np.int64)
+        path = tmp_path / "model.qx"
+        checkpoint_save(path, model, opt, epoch=1)
+        with pytest.raises(CheckpointIntegrityError,
+                           match=re.escape("param/stem_conv.weight is int64")):
+            checkpoint_load(path)
+
+    def test_load_draws_no_initialisation(self, tmp_path, monkeypatch):
+        model, opt, _, _ = self._trained(tmp_path)
+        path = tmp_path / "model.qx"
+        checkpoint_save(path, model, opt, epoch=1)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("checkpoint_load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded, loaded_opt, _ = checkpoint_load(path)
+        monkeypatch.undo()
+        ours = training_state(model, opt)
+        theirs = training_state(loaded, loaded_opt)
+        assert ours.keys() == theirs.keys()
+        for key, arr in ours.items():
+            assert theirs[key].dtype == arr.dtype, key
+            assert theirs[key].tobytes() == arr.tobytes(), key
+            assert theirs[key].flags.writeable and theirs[key].flags.owndata, key
+
+    def test_truncation_at_every_record_boundary(self, tmp_path):
+        path = self._saved(tmp_path)
+        payload = path.read_bytes()[:-8]
+        ends = record_boundaries(payload)
+        bad = tmp_path / "short.qx"
+        for end in [0] + ends[:-1]:
+            reseal(bad, payload[:end])
+            with pytest.raises(CheckpointIntegrityError, match="truncated"):
+                checkpoint_load(bad)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        model, opt, _, _ = self._trained(tmp_path)
+        path = tmp_path / "model.qx"
+        checkpoint_save(path, model, opt, epoch=1)
+        before = path.read_bytes()
+        # buffers are written after every parameter, so this fails mid-stream
+        name, mod = next((n, m) for n, m in model.named_modules() if m._buffers)
+        bname, buf = next(iter(mod._buffers.items()))
+        mod.register_buffer(bname, buf.astype(np.float16))
+        with pytest.raises(ContractError, match="float16"):
+            checkpoint_save(path, model, opt, epoch=2)
+        assert path.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["model.qx"]
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        model = build(tiny_spec(), seed=0)
+        opt = SGDMomentum(model.named_parameters(), 0.9, 9e-5)
+        # values from integer arithmetic alone, so the digest pins the format
+        for i, arr in enumerate(training_state(model, opt).values()):
+            if arr.dtype.kind == "f":
+                arr[...] = ((np.arange(arr.size) % 13 - 6) / 8 + i).reshape(arr.shape)
+        path = tmp_path / "model.qx"
+        checkpoint_save(path, model, opt, epoch=3)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256
 
     def _saved(self, tmp_path):
         model, opt, _, _ = self._trained(tmp_path)

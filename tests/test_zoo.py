@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -264,6 +265,22 @@ class TestSummarize:
         bank_rows = [(name, p) for name, _, p in summarize(model) if "bank" in name]
         plan = model.spec.group_plan()
         assert [p for _, p in bank_rows] == [m for m, _ in plan]
+
+    # sha256 over every parameter and buffer (name, then bytes) at seed 5
+    @pytest.mark.parametrize("variant,digest", [
+        ("resnet", "0ae4fc12e3c7e411faa560d2224474fc940e6beddb38fa55d7b6bcc5aa370e86"),
+        ("quat_resnet", "631e2214f04c6906a46b8a50496a55a639ec39afc9530bbd693ff7351e944a43"),
+        ("axial", "e6a52bfcb8e55e172ee051d783213652c5916e3010584d05a2c5d08a7954d22b"),
+        ("quat_axial", "5aaff24351278e3bead942ec087352fa7979e77d8b95122824b93ec9dab113c5"),
+    ])
+    def test_built_values_are_pinned(self, variant, digest):
+        model = build(small_spec(variant), seed=5)
+        h = hashlib.sha256()
+        for name, arr in [(n, p.data) for n, p in model.named_parameters()] \
+                + list(model.named_buffers()):
+            h.update(name.encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
 
     def test_deterministic_build(self):
         a = build(small_spec("axial"), seed=7)
