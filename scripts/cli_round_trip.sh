@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CLI round trip on a tiny synthetic dataset: train one epoch, resume to
-# epoch 2 from its checkpoint, evaluate the result.  Each command must exit 0.
+# epoch 2 from its checkpoint, evaluate the result.  Each command must exit 0,
+# and history.csv must then list epochs 0 and 1.
 # Run from the repository root: bash scripts/cli_round_trip.sh
 set -euo pipefail
 
@@ -18,5 +19,5 @@ qaxial train --variant quat_axial --width-scale 0.25 --data "$data" \
     --config "$work/one.cfg" --out "$work/run"
 qaxial train --variant quat_axial --width-scale 0.25 --data "$data" \
     --config "$work/two.cfg" --out "$work/run" --resume "$work/run/checkpoint.qx"
-test "$(wc -l < "$work/run/history.csv")" -eq 3  # header + epochs 0 and 1
+test "$(cut -d, -f1 "$work/run/history.csv" | tail -n +2 | paste -sd, -)" = "0,1"
 qaxial eval --checkpoint "$work/run/checkpoint.qx" --data "$data"

@@ -71,7 +71,7 @@ class AxialAttention1D(Module):
         for name in ("r_q", "r_k", "r_v"):
             setattr(self, name, Parameter(
                 rng.normal(0.0, emb_std, size=(2 * span - 1, self.dim)).astype(np.float32),
-                decay=False, kind="embedding"))
+                kind="embedding"))
         # rel_index[o*L+p] = p - o + L - 1
         pos = np.arange(span)
         self.register_buffer(
@@ -121,9 +121,9 @@ class AxialPairModule(Module):
         # attend along H for every (image, column)
         cols = ad.reshape(ad.transpose(x, (0, 3, 1, 2)), (n * w, c, h))
         cols = self.height_attention(cols)
-        x = ad.transpose(ad.reshape(cols, (n, w, c, h)), (0, 2, 3, 1))
-        # attend along W for every (image, row)
-        rows = ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (n * h, c, w))
+        # attend along W for every (image, row): [n, w, c, h] -> [n, h, c, w]
+        rows = ad.transpose(ad.reshape(cols, (n, w, c, h)), (0, 3, 2, 1))
+        rows = ad.reshape(rows, (n * h, c, w))
         rows = self.width_attention(rows)
         x = ad.transpose(ad.reshape(rows, (n, h, c, w)), (0, 2, 1, 3))
         if self.stride == 2:

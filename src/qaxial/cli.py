@@ -33,15 +33,10 @@ from .data import (
 from .errors import ConfigurationError, QaxialError
 from .quaternion import QuaternionBank1x1, QuaternionConv2d
 from .recon import color_reconstruction_experiment
-from .training import (
-    SGDMomentum,
-    TrainConfig,
-    TrainHistory,
-    checkpoint_load,
-    evaluate,
-    train,
-)
+from .training import TrainConfig, checkpoint_load, evaluate, train
 from .zoo import (
+    DEPTH_MULTIPLIERS,
+    VARIANTS,
     ArchitectureSpec,
     AxialBottleneck,
     build,
@@ -105,24 +100,16 @@ def cmd_train(args) -> int:
                 f"but {args.data} has {train_data.class_count}")
     else:
         model = build(_model_spec(args, train_data), seed=args.seed)
-        optimizer = SGDMomentum(model.named_parameters(), config.momentum,
-                                config.weight_decay, config.decay_bn_params)
-        start_epoch = 0
+        optimizer, start_epoch = None, 0
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     augment = None if args.no_augment else AugmentationPolicy()
-    history_path = out_dir / "history.csv"
-    earlier = TrainHistory.from_csv(history_path.read_text()).records \
-        if start_epoch and history_path.exists() else []
     history = train(model, train_data, val_data, config, out_dir=out_dir,
                     augment=augment, optimizer=optimizer, start_epoch=start_epoch)
-    history.records[:0] = [r for r in earlier if r.epoch < start_epoch]  # not replayed
-    history_path.write_text(history.to_csv())
     if history.records:
         last = history.records[-1]
         print(f"epoch {last.epoch}: train_loss {last.train_loss:.4f} "
               f"train_top1 {last.train_top1:.4f} val_top1 {last.val_top1:.4f}")
-    print(f"history: {history_path}")
+    print(f"history: {out_dir / 'history.csv'}")
     print(f"checkpoint: {out_dir / 'checkpoint.qx'}")
     return 0
 
@@ -265,10 +252,10 @@ def cmd_recon_demo(args) -> int:
 
 
 def _add_model_args(parser, with_depth=True):
-    parser.add_argument("--variant", required=True,
-                        choices=("resnet", "quat_resnet", "axial", "quat_axial"))
+    parser.add_argument("--variant", required=True, choices=VARIANTS)
     if with_depth:
-        parser.add_argument("--depth", type=int, default=26, choices=(26, 35, 50))
+        parser.add_argument("--depth", type=int, default=26,
+                            choices=sorted(DEPTH_MULTIPLIERS))
     parser.add_argument("--width-scale", type=float, default=None)
     parser.add_argument("--heads", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)

@@ -40,9 +40,6 @@ class Dataset:
     def __len__(self):
         return len(self.labels)
 
-    def __getitem__(self, i):
-        return self.images[i], int(self.labels[i])
-
     def subset(self, indices, split: str | None = None) -> "Dataset":
         return Dataset(self.images[indices], self.labels[indices],
                        self.class_count, split or self.split)
@@ -118,6 +115,9 @@ def read_ppm(path) -> np.ndarray:
         raise DataFormatError(f"{path}: malformed PPM header") from None
     if maxval != 255:
         raise DataFormatError(f"{path}: only maxval 255 is supported")
+    if min(width, height) < 1:
+        raise DataFormatError(
+            f"{path}: image is {width}x{height}, needs width and height >= 1")
     pos += 1  # single whitespace after maxval
     pixels = raw[pos:pos + width * height * 3]
     if len(pixels) != width * height * 3:
@@ -141,8 +141,13 @@ def load_ppm_dir(directory) -> Dataset:
     files = sorted(Path(directory).glob("*.ppm"))
     if not files:
         raise DataFormatError(f"{directory}: no .ppm files found")
-    images = np.stack([read_ppm(f) for f in files])
-    return Dataset(images, np.zeros(len(files), dtype=np.int64), 1, "train")
+    images = [read_ppm(f) for f in files]
+    _, h, w = images[0].shape
+    for f, img in zip(files, images):
+        if img.shape[1:] != (h, w):
+            raise DataFormatError(f"{f}: image is {img.shape[2]}x{img.shape[1]}, "
+                                  f"but {files[0].name} is {w}x{h}")
+    return Dataset(np.stack(images), np.zeros(len(files), dtype=np.int64), 1, "train")
 
 
 # ---------------------------------------------------------------------------

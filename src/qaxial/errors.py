@@ -26,7 +26,8 @@ class DegenerateBatchError(QaxialError, ValueError):
 
 
 class NumericsError(QaxialError, ArithmeticError):
-    """A forward op produced NaN/Inf while debug checks were enabled."""
+    """A forward op produced NaN/Inf while debug checks were enabled, or a
+    model scored by ``evaluate`` gave non-finite logits."""
 
 
 class OracleError(QaxialError, RuntimeError):

@@ -17,17 +17,17 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, ShapeError
 
-_trace_sink = None
+_trace_sink = None  # a list while zoo.summarize runs: gets (leaf module, output)
 
 
 class Parameter(Tensor):
-    """Trainable tensor; ``decay`` marks eligibility for weight decay."""
+    """Trainable tensor; ``kind`` ("weight", "bias", "bn" or "embedding")
+    decides its weight decay (see ``training.SGDMomentum``)."""
 
-    __slots__ = ("decay", "kind")
+    __slots__ = ("kind",)
 
-    def __init__(self, data, decay: bool = True, kind: str = "weight", dtype=None):
+    def __init__(self, data, kind: str = "weight", dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
-        self.decay = decay
         self.kind = kind
 
 
@@ -127,17 +127,6 @@ class ModuleList(Module):
     def __iter__(self):
         return (self._children[n] for n in self._order)
 
-    def __len__(self):
-        return len(self._order)
-
-    def __getitem__(self, i):
-        return self._children[self._order[i]]
-
-    def forward(self, x):
-        for m in self:
-            x = m(x)
-        return x
-
 
 class _ZeroDraws:
     """Stands in for a ``Generator`` when a model's values are about to be
@@ -182,8 +171,7 @@ class Linear(Module):
         bound = 1.0 / math.sqrt(in_features)
         self.weight = Parameter(
             rng.uniform(-bound, bound, size=(out_features, in_features)).astype(np.float32))
-        self.bias = Parameter(np.zeros(out_features, dtype=np.float32),
-                              decay=False, kind="bias")
+        self.bias = Parameter(np.zeros(out_features, dtype=np.float32), kind="bias")
 
     def forward(self, x):
         return ad.linear(x, self.weight, self.bias)
@@ -195,10 +183,8 @@ class BatchNorm2d(Module):
         self.channels = channels
         self.momentum = momentum
         self.epsilon = epsilon
-        self.gamma = Parameter(np.ones(channels, dtype=np.float32),
-                               decay=False, kind="bn")
-        self.beta = Parameter(np.zeros(channels, dtype=np.float32),
-                              decay=False, kind="bn")
+        self.gamma = Parameter(np.ones(channels, dtype=np.float32), kind="bn")
+        self.beta = Parameter(np.zeros(channels, dtype=np.float32), kind="bn")
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
@@ -228,25 +214,3 @@ class MaxPool2d(Module):
 class GlobalAvgPool(Module):
     def forward(self, x):
         return ad.global_avg_pool(x)
-
-
-class _Trace:
-    """Collects (module, output) pairs from leaf-module calls."""
-
-    def __enter__(self):
-        global _trace_sink
-        self.records = []
-        _trace_sink = self.records
-        return self.records
-
-    def __exit__(self, *exc):
-        global _trace_sink
-        _trace_sink = None
-        return False
-
-
-def trace_forward(module: Module, *args):
-    """Run ``module(*args)`` collecting every leaf call; returns (out, records)."""
-    with _Trace() as records:
-        out = module(*args)
-    return out, records

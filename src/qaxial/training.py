@@ -13,6 +13,7 @@ import math
 import os
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .errors import (
     CheckpointIntegrityError,
     ConfigurationError,
     ContractError,
+    NumericsError,
     TrainingDivergedError,
 )
 from .zoo import SPEC_CASTS, Model, spec_from_fields, spec_to_text
@@ -120,9 +122,7 @@ class SGDMomentum:
         self.velocity = {name: np.zeros_like(p.data) for name, p in self._params}
 
     def _decays(self, p) -> bool:
-        if getattr(p, "decay", True):
-            return True
-        return self.decay_bn_params and getattr(p, "kind", "") == "bn"
+        return p.kind == "weight" or (self.decay_bn_params and p.kind == "bn")
 
     def step(self, lr: float):
         for name, p in self._params:
@@ -192,7 +192,8 @@ def _batches(count: int, batch_size: int, rng: np.random.Generator | None):
 
 
 def evaluate(model: Model, data, batch_size: int = 64) -> float:
-    """Top-1 accuracy with eval-mode batch norm; deterministic."""
+    """Top-1 accuracy with eval-mode batch norm; deterministic.  Non-finite
+    logits raise :class:`NumericsError`."""
     if len(data.labels) == 0:
         raise ContractError("evaluate needs a non-empty dataset")
     was_training = model.training
@@ -202,6 +203,9 @@ def evaluate(model: Model, data, batch_size: int = 64) -> float:
         with ad.no_grad():
             for idx in _batches(len(data.labels), batch_size, rng=None):
                 logits = model(Tensor(data.images[idx]))
+                if not np.isfinite(logits.data).all():
+                    raise NumericsError(
+                        f"non-finite logits in the evaluation batch from sample {idx[0]}")
                 hits += int((logits.data.argmax(axis=1) == data.labels[idx]).sum())
     finally:
         model.train(was_training)
@@ -214,14 +218,23 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
     """Run the epoch loop from ``start_epoch`` to ``config.epochs``.
 
     ``augment``, when given, is called as ``augment(images, rng)`` on each
-    training batch.  A checkpoint is written to ``out_dir/checkpoint.qx``
-    after every epoch.  Fixed seed and thread count make runs and resumed
-    runs bit-identical.
+    training batch.  After every epoch ``out_dir/history.csv`` (the earlier
+    run's rows before ``start_epoch``, then this call's) and then
+    ``out_dir/checkpoint.qx`` are written, so an interrupted run resumes
+    with its history whole.  Returns this call's epochs only.  Fixed seed
+    and thread count make runs and resumed runs bit-identical.
     """
     if optimizer is None:
         optimizer = SGDMomentum(model.named_parameters(), config.momentum,
                                 config.weight_decay, config.decay_bn_params)
     history = TrainHistory()
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        history_path = out_dir / "history.csv"
+        # rows from start_epoch on are replayed, so they are not kept
+        kept = [r for r in TrainHistory.from_csv(history_path.read_text()).records
+                if r.epoch < start_epoch] if start_epoch and history_path.exists() else []
     n = len(train_data.labels)
     model.train()
     for epoch in range(start_epoch, config.epochs):
@@ -250,9 +263,11 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
         history.append(EpochRecord(epoch, lr, loss_sum / seen, hits / seen,
                                    val_top1, time.perf_counter() - started))
         if out_dir is not None:
-            path = Path(out_dir)
-            path.mkdir(parents=True, exist_ok=True)
-            checkpoint_save(path / "checkpoint.qx", model, optimizer, epoch + 1)
+            # history first: a crash between the writes leaves one extra
+            # row, which the resume from the older checkpoint replays
+            with _replaced_atomically(history_path) as fh:
+                fh.write(TrainHistory(kept + history.records).to_csv().encode())
+            checkpoint_save(out_dir / "checkpoint.qx", model, optimizer, epoch + 1)
     return history
 
 
@@ -266,6 +281,23 @@ _VERSION = 1
 _DTYPE_TAGS = {np.dtype(np.float32): 1, np.dtype(np.float64): 2,
                np.dtype(np.int64): 3}
 _TAG_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i8")}
+
+
+@contextmanager
+def _replaced_atomically(path: Path):
+    """A binary file handle on ``path.tmp``, fsynced and renamed over
+    ``path`` on success, so a crash (or a failed write) leaves the previous
+    file whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _checksum(payload) -> bytes:
@@ -335,28 +367,17 @@ def checkpoint_save(path, model: Model, optimizer: SGDMomentum, epoch: int) -> N
     entries = [("param/" + name, p.data) for name, p in model.named_parameters()]
     entries += [("buffer/" + name, b) for name, b in model.named_buffers()]
     entries += [("vel/" + name, v) for name, v in optimizer.velocity.items()]
-    # write beside the target and swap it in, so a crash (or a tensor that
-    # cannot be written) leaves the previous checkpoint whole
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
     digest = hashlib.blake2b(digest_size=8)
-    try:
-        with open(tmp, "wb") as fh:
-            def emit(chunk):
-                digest.update(chunk)
-                fh.write(chunk)
+    with _replaced_atomically(Path(path)) as fh:
+        def emit(chunk):
+            digest.update(chunk)
+            fh.write(chunk)
 
-            emit(_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob
-                 + struct.pack("<I", len(entries)))
-            for name, arr in entries:
-                _write_tensor(emit, name, arr)
-            fh.write(digest.digest())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        emit(_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob
+             + struct.pack("<I", len(entries)))
+        for name, arr in entries:
+            _write_tensor(emit, name, arr)
+        fh.write(digest.digest())
 
 
 def _read_checkpoint(path):

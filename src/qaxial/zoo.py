@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import fields
+from . import fields, nn
 from .axial import AxialPairModule
 from .errors import ConfigurationError, ShapeError
 from .nn import (
@@ -294,12 +294,7 @@ def build(spec: ArchitectureSpec, seed: int = 0) -> Model:
 
 def count_params(model: Model) -> int:
     """Total trainable reals, each shared quaternion component counted once."""
-    seen, total = set(), 0
-    for _, p in model.named_parameters():
-        if id(p) not in seen:
-            seen.add(id(p))
-            total += p.size
-    return total
+    return model.param_count()
 
 
 def count_layers(spec: ArchitectureSpec, include_quaternion: bool = False) -> int:
@@ -318,20 +313,16 @@ def count_layers(spec: ArchitectureSpec, include_quaternion: bool = False) -> in
 
 def summarize(model: Model, batch_size: int = 1):
     """Rows of (layer name, output shape, param count) in execution order."""
-    from .nn import trace_forward
-
-    for name, mod in model.named_modules():
-        object.__setattr__(mod, "_qualname", name or "model")
+    names = {id(mod): name or "model" for name, mod in model.named_modules()}
     x = ad.Tensor(np.zeros((batch_size, *model.spec.input_size), dtype=np.float32))
     was_training = model.training
     model.eval()
+    records = nn._trace_sink = []
     try:
         with ad.no_grad():
-            _, records = trace_forward(model, x)
+            model(x)
     finally:
+        nn._trace_sink = None
         model.train(was_training)
-    rows = []
-    for mod, out in records:
-        own = sum(p.size for p in mod._params.values())
-        rows.append((mod._qualname, tuple(out.shape), own))
-    return rows
+    return [(names[id(mod)], tuple(out.shape), sum(p.size for p in mod._params.values()))
+            for mod, out in records]

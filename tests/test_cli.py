@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qaxial import training
 from qaxial.cli import main, run_grad_check_suite
 from qaxial.training import (
     SGDMomentum,
@@ -149,6 +150,38 @@ class TestTrainEvalRoundTrip:
         history = TrainHistory.from_csv((out_dir / "history.csv").read_text())
         assert [r.epoch for r in history.records] == [0, 1]
         assert history.records[0] == first.records[0]
+
+    def test_interrupted_run_resumes_with_whole_history(self, tmp_path, monkeypatch,
+                                                       capsys):
+        def run(out_dir, *extra):
+            return main(["train", "--variant", "axial", "--width-scale", "0.25",
+                         "--data", SMOKE_DATA, "--out", str(out_dir), "--no-augment",
+                         "--config", str(smoke_config(tmp_path, 3)), *extra])
+
+        def rows(out_dir):  # every column but the wall time
+            history = TrainHistory.from_csv((out_dir / "history.csv").read_text())
+            return [(r.epoch, r.lr, r.train_loss, r.train_top1, r.val_top1)
+                    for r in history.records]
+
+        assert run(tmp_path / "whole") == 0
+        save = training.checkpoint_save
+
+        def cut_at_third_save(path, model, optimizer, epoch):
+            if epoch == 3:
+                raise KeyboardInterrupt
+            save(path, model, optimizer, epoch)
+
+        out_dir = tmp_path / "cut"
+        monkeypatch.setattr(training, "checkpoint_save", cut_at_third_save)
+        with pytest.raises(KeyboardInterrupt):
+            run(out_dir)
+        monkeypatch.undo()
+        # history is written before each checkpoint: epoch 2 is in it, the
+        # checkpoint is still the one after epoch 1
+        assert [r[0] for r in rows(out_dir)] == [0, 1, 2]
+        assert checkpoint_load(out_dir / "checkpoint.qx")[2] == 2
+        assert run(out_dir, "--resume", str(out_dir / "checkpoint.qx")) == 0
+        assert rows(out_dir) == rows(tmp_path / "whole")
 
     def test_eval_deterministic_without_augmentation(self, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -166,6 +166,20 @@ class TestPpm:
         with pytest.raises(DataFormatError):
             read_ppm(short)
 
+    def test_rejects_zero_width_or_height(self, tmp_path):
+        for header in (b"P6 0 0 255\n", b"P6\n3 0\n255\n", b"P6\n0 2\n255\n"):
+            path = tmp_path / "empty.ppm"
+            path.write_bytes(header)
+            with pytest.raises(DataFormatError, match="width and height"):
+                read_ppm(path)
+
+    def test_load_dir_rejects_mixed_sizes(self, tmp_path):
+        write_ppm(tmp_path / "a.ppm", np.zeros((3, 4, 4), dtype=np.float32))
+        write_ppm(tmp_path / "b.ppm", np.zeros((3, 4, 4), dtype=np.float32))
+        write_ppm(tmp_path / "c.ppm", np.zeros((3, 5, 5), dtype=np.float32))
+        with pytest.raises(DataFormatError, match=r"c\.ppm: image is 5x5, but a\.ppm is 4x4"):
+            load_ppm_dir(tmp_path)
+
     def test_load_dir_sorted(self, tmp_path):
         for i, val in enumerate((0.2, 0.8)):
             write_ppm(tmp_path / f"{i}.ppm", np.full((3, 2, 2), val, dtype=np.float32))

@@ -15,6 +15,7 @@ from qaxial.errors import (
     CheckpointIntegrityError,
     ConfigurationError,
     ContractError,
+    NumericsError,
     QaxialError,
     TrainingDivergedError,
 )
@@ -223,7 +224,7 @@ class TestSgdStep:
             sgd_momentum_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9, 0.0)
 
     def test_bn_params_excluded_unless_flagged(self):
-        gamma = Parameter(np.ones(3), decay=False, kind="bn")
+        gamma = Parameter(np.ones(3), kind="bn")
         gamma.grad = np.zeros(3)
         for flag, expect in ((False, 1.0), (True, 1.0 - 0.1 * 0.5)):
             gamma.data = np.ones(3)
@@ -366,6 +367,25 @@ class TestEvaluate:
         model = build(tiny_spec(), seed=0)
         with pytest.raises(ContractError):
             evaluate(model, Dataset(np.zeros((0, 3, 32, 32)), np.zeros(0), 4))
+
+    def test_nan_classifier_weight_raises_not_scores(self):
+        # argmax over NaN logits picks class 0, which scores 0.5 here
+        model = build(ArchitectureSpec("resnet", (1, 1, 1, 1), width_scale=0.25,
+                                       num_classes=2, input_size=(3, 32, 32)), seed=0)
+        model.classifier.weight.data[0, 0] = np.nan
+        with pytest.raises(NumericsError, match="from sample 0"):
+            evaluate(model, tiny_dataset(n=8, classes=2))
+
+    def test_non_finite_logits_name_the_batch(self):
+        class PixelLogits(Module):
+            def forward(self, x):
+                return Tensor(x.data.reshape(x.shape[0], -1)[:, :2].copy())
+
+        images = np.zeros((10, 1, 1, 2), dtype=np.float32)
+        images[6, 0, 0, 1] = np.inf
+        data = Dataset(images, np.arange(10) % 2, 2)
+        with pytest.raises(NumericsError, match="from sample 4$"):
+            evaluate(PixelLogits(), data, batch_size=4)
 
 
 class TestCheckpoint:

@@ -236,7 +236,7 @@ class TestTrainingStepTape:
             seen.add(id(node))
             ops += bool(node._parents)
             todo.extend(node._parents)
-        assert ops == 176
+        assert ops == 172
 
     def test_nan_pixel_gives_non_finite_logits(self):
         # train-mode batch norm spreads one NaN over its channel; relu must
@@ -265,6 +265,23 @@ class TestSummarize:
         bank_rows = [(name, p) for name, _, p in summarize(model) if "bank" in name]
         plan = model.spec.group_plan()
         assert [p for _, p in bank_rows] == [m for m, _ in plan]
+
+    def test_leaves_no_attribute_on_any_module(self):
+        model = build(small_spec("quat_axial"))
+        before = {name: set(vars(mod)) for name, mod in model.named_modules()}
+        summarize(model)
+        assert {name: set(vars(mod)) for name, mod in model.named_modules()} == before
+
+    # sha256 of repr(rows) at batch 2
+    @pytest.mark.parametrize("variant,digest", [
+        ("resnet", "fdf01603293caaad3ce0d88c998cbff774bb0267a67b5411cbfd9207cafd553f"),
+        ("quat_resnet", "ace1088642d177dcc4eef22a06595f26684ee5526ba45477c3efdc26dbb2de32"),
+        ("axial", "c40ad736cd2c5a1f5babf6f143ea75da5a7623c1595310dbf51dcd7f535e5e44"),
+        ("quat_axial", "97bfd397562df0599ba0a2d309ae019c51a1509c3d8f5cccf02ef4ba148e2c15"),
+    ])
+    def test_rows_are_pinned(self, variant, digest):
+        rows = summarize(build(small_spec(variant)), batch_size=2)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
     # sha256 over every parameter and buffer (name, then bytes) at seed 5
     @pytest.mark.parametrize("variant,digest", [
