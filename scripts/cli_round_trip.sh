@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CLI round trip on a tiny synthetic dataset: train one epoch, resume to
-# epoch 2 from its checkpoint, evaluate the result.  Each command must exit 0,
-# and history.csv must then list epochs 0 and 1.
+# CLI round trip on a tiny synthetic dataset, for quat_axial (width 0.25) and
+# quat_resnet: train one epoch, resume to epoch 2 from its checkpoint,
+# evaluate the result.  Each command must exit 0, and history.csv must then
+# list epochs 0 and 1.
 # Run from the repository root: bash scripts/cli_round_trip.sh
 set -euo pipefail
 
@@ -15,9 +16,12 @@ config() { printf 'epochs = %s\nbatch_size = 5\nbase_lr = 0.01\nwarmup_epochs = 
 config 1 > "$work/one.cfg"
 config 2 > "$work/two.cfg"
 
-qaxial train --variant quat_axial --width-scale 0.25 --data "$data" \
-    --config "$work/one.cfg" --out "$work/run"
-qaxial train --variant quat_axial --width-scale 0.25 --data "$data" \
-    --config "$work/two.cfg" --out "$work/run" --resume "$work/run/checkpoint.qx"
-test "$(cut -d, -f1 "$work/run/history.csv" | tail -n +2 | paste -sd, -)" = "0,1"
-qaxial eval --checkpoint "$work/run/checkpoint.qx" --data "$data"
+for model in "quat_axial --width-scale 0.25" "quat_resnet"; do
+    run="$work/${model%% *}"
+    # $model is split on purpose: the variant, then its options
+    qaxial train --variant $model --data "$data" --config "$work/one.cfg" --out "$run"
+    qaxial train --variant $model --data "$data" --config "$work/two.cfg" --out "$run" \
+        --resume "$run/checkpoint.qx"
+    test "$(cut -d, -f1 "$run/history.csv" | tail -n +2 | paste -sd, -)" = "0,1"
+    qaxial eval --checkpoint "$run/checkpoint.qx" --data "$data"
+done

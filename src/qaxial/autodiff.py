@@ -309,35 +309,37 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _result(data, tuple(tensors), backward, "stack")
 
 
-def signed_blocks(tensors, table, axes) -> Tensor:
-    """Tile signed copies of equal-shaped tensors into a grid of blocks.
+def signed_blocks(t: Tensor, table, axes) -> Tensor:
+    """Tile signed components of ``t`` into a grid of blocks.
 
-    ``table[a][b] = (n, sign)`` puts ``sign * tensors[n]`` (sign +1.0 or -1.0)
-    at block (a, b), whose row and column indices become result axes
-    ``axes[0] < axes[1]``.  Backward adds up each tensor's signed block
+    Component ``n`` is index ``n`` of ``t`` along axis ``axes[0]``.
+    ``table[a][b] = (n, sign)`` puts ``sign`` (+1.0 or -1.0) times component
+    ``n`` at block (a, b), whose row and column indices become result axes
+    ``axes[0] < axes[1]``.  Backward adds up each component's signed block
     gradients in table order.
     """
-    first = tensors[0]
-    tensors = [_coerce(t, first) for t in tensors]
-    shape = list(first.shape)
-    shape.insert(axes[0], len(table))
-    shape.insert(axes[1], len(table[0]))
-    data = np.empty(shape, dtype=first.dtype)
-    placements = [[] for _ in tensors]
-    for a, row in enumerate(table):
-        for b, (n, sign) in enumerate(row):
+    row, col = axes
+    shape = list(t.shape)
+    shape[row] = len(table)
+    shape.insert(col, len(table[0]))
+    data = np.empty(shape, dtype=t.dtype)
+    lead = (slice(None),) * row
+    placements = [[] for _ in range(t.shape[row])]
+    for a, cells in enumerate(table):
+        for b, (n, sign) in enumerate(cells):
             index = [slice(None)] * len(shape)
-            index[axes[0]], index[axes[1]] = a, b
+            index[row], index[col] = a, b
             placements[n].append((tuple(index), sign))
-            np.multiply(tensors[n].data, sign, out=data[tuple(index)])
+            np.multiply(t.data[lead + (n,)], sign, out=data[tuple(index)])
 
     def backward(g):
-        for t, places in zip(tensors, placements):
-            if t.requires_grad:
-                parts = [sign * g[index] for index, sign in places]
-                t._accumulate(sum(parts[1:], parts[0]))
+        gt = np.empty_like(t.data)
+        for n, places in enumerate(placements):
+            parts = [sign * g[index] for index, sign in places]
+            gt[lead + (n,)] = sum(parts[1:], parts[0])
+        t._accumulate(gt)
 
-    return _result(data, tuple(tensors), backward, "signed_blocks")
+    return _result(data, (t,), backward, "signed_blocks")
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -523,36 +525,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _result(out, parents, backward, "conv2d")
 
 
-def quaternion_conv2d(x: Tensor, components, table, stride: int = 1,
+def quaternion_conv2d(x: Tensor, weight: Tensor, table, stride: int = 1,
                       padding: int = 0) -> Tensor:
-    """conv2d with the structured weight that ``signed_blocks`` would build
-    from ``components`` [q_out, q_in, kh, kw] and ``table``, never built.
+    """conv2d with the structured weight that ``signed_blocks(weight, table,
+    (1, 3))`` would build, never built.
 
+    ``weight`` is [q_out, nc, q_in, kh, kw], component ``c`` on axis 1.
     ``table[a][b] = (c, sign)`` (sign +1.0 or -1.0) makes output component
-    ``a`` take ``sign * components[c]`` of input component ``b``; each row
-    uses every component once.  Channel ``4g + b`` (for a 4x4 table) is
+    ``a`` take ``sign`` times component ``c`` of input component ``b``; each
+    row uses every component once.  Channel ``4g + b`` (for a 4x4 table) is
     component ``b`` of group ``g``.  The signs act on the im2col columns
     instead of the weight: block ``(c, a)`` of
-    ``xt [nc*q_in*kh*kw, na*N*Ho*Wo]`` is ``sign * cols_b``, so the forward,
-    the component gradients and the input gradient are one GEMM each,
-    ``wcat @ xt``, ``gmat @ xt.T`` and ``wcat.T @ gmat`` with
-    ``wcat = [W_0 | ... | W_nc-1]``; the last is folded back through the
-    signs into ``_col2im``.
+    ``xt [nc*q_in*kh*kw, na*N*Ho*Wo]`` is ``sign * cols_b``, so with
+    ``wmat = weight`` as [q_out, nc*q_in*kh*kw] the forward, the weight
+    gradient and the input gradient are one GEMM each, ``wmat @ xt``,
+    ``gmat @ xt.T`` and ``wmat.T @ gmat``; the last is folded back through
+    the signs into ``_col2im``.
     """
-    components = [_coerce(t, x) for t in components]
-    first = components[0]
-    na, nb, nc = len(table), len(table[0]), len(components)
+    weight = _coerce(weight, x)
+    if x.ndim != 4 or weight.ndim != 5:
+        raise ShapeError("quaternion_conv2d expects 4-D input and 5-D weight")
+    na, nb = len(table), len(table[0])
+    n, cin, h, w = x.shape
+    q_out, nc, q_in, kh, kw = weight.shape
     if any(sorted(c for c, _ in row) != list(range(nc)) for row in table):
         raise ContractError("every table row must use each component exactly once")
-    if x.ndim != 4 or first.ndim != 4:
-        raise ShapeError("quaternion_conv2d expects 4-D input and components")
-    n, cin, h, w = x.shape
-    q_out, q_in, kh, kw = first.shape
-    if any(t.shape != first.shape for t in components):
-        raise ShapeError("quaternion_conv2d components must share one shape")
     if cin != nb * q_in:
         raise ShapeError(f"quaternion_conv2d: input has {cin} channels, "
-                         f"components expect {nb * q_in}")
+                         f"weight expects {nb * q_in}")
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     m = n * ho * wo
     # cols rows are (g, b, ky, kx); xt rows are (c, g, ky, kx), columns (a, m)
@@ -564,10 +564,8 @@ def quaternion_conv2d(x: Tensor, components, table, stride: int = 1,
     xt = xt.reshape(nc * q_in * kh * kw, na * m)
     del cols, cols_b
 
-    def wcat():  # [q_out, nc*q_in*kh*kw]; rebuilt in backward rather than kept
-        return np.concatenate([t.data.reshape(q_out, -1) for t in components], axis=1)
-
-    out = wcat() @ xt
+    wmat = weight.data.reshape(q_out, nc * q_in * kh * kw)
+    out = wmat @ xt
     # [q_out, na, N, Ho, Wo] -> [N, q_out*na, Ho, Wo]; no copy at N = 1
     out = np.ascontiguousarray(
         out.reshape(q_out, na, n, ho, wo).transpose(2, 0, 1, 3, 4)
@@ -575,13 +573,10 @@ def quaternion_conv2d(x: Tensor, components, table, stride: int = 1,
 
     def backward(g):
         gmat = g.reshape(n, q_out, na, ho * wo).transpose(1, 2, 0, 3).reshape(q_out, na * m)
-        if any(t.requires_grad for t in components):
-            gw = (gmat @ xt.T).reshape(q_out, nc, q_in, kh, kw)
-            for c, t in enumerate(components):
-                if t.requires_grad:
-                    t._accumulate(np.ascontiguousarray(gw[:, c]))
+        if weight.requires_grad:
+            weight._accumulate((gmat @ xt.T).reshape(weight.shape))
         if x.requires_grad:
-            gxt = (wcat().T @ gmat).reshape(nc, q_in, kh * kw, na, m)
+            gxt = (wmat.T @ gmat).reshape(nc, q_in, kh * kw, na, m)
             gcols = np.zeros((q_in, nb, kh * kw, m), dtype=g.dtype)
             for a, row in enumerate(table):
                 for b, (c, sign) in enumerate(row):
@@ -590,7 +585,7 @@ def quaternion_conv2d(x: Tensor, components, table, stride: int = 1,
             x._accumulate(_col2im(gcols.reshape(cin * kh * kw, m), x.shape,
                                   kh, kw, stride, padding))
 
-    return _result(out, (x, *components), backward, "quaternion_conv2d")
+    return _result(out, (x, weight), backward, "quaternion_conv2d")
 
 
 def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,

@@ -216,11 +216,9 @@ class AugmentationPolicy:
 
     crop_padding: int = 4
     flip_probability: float = 0.5
-    normalize_mean: tuple | None = None
-    normalize_std: tuple | None = None
 
     def __call__(self, images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n, c, h, w = images.shape
+        n, _, h, w = images.shape
         pad = self.crop_padding
         out = images
         if pad:
@@ -233,8 +231,4 @@ class AugmentationPolicy:
             flips = rng.random(n) < self.flip_probability
             out = out.copy() if out is images else out
             out[flips] = out[flips, :, :, ::-1]
-        if self.normalize_mean is not None:
-            mean = np.asarray(self.normalize_mean, dtype=np.float32)
-            std = np.asarray(self.normalize_std or (1.0,) * c, dtype=np.float32)
-            out = (out - mean[None, :, None, None]) / std[None, :, None, None]
         return out

@@ -115,17 +115,14 @@ class Module:
 class ModuleList(Module):
     def __init__(self, modules=()):
         super().__init__()
-        self._order = []
         for m in modules:
             self.append(m)
 
     def append(self, module: Module):
-        name = str(len(self._order))
-        setattr(self, name, module)
-        self._order.append(name)
+        setattr(self, str(len(self._children)), module)
 
     def __iter__(self):
-        return (self._children[n] for n in self._order)
+        return iter(self._children.values())
 
 
 class _ZeroDraws:
@@ -178,11 +175,9 @@ class Linear(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, momentum: float = 0.1, epsilon: float = 1e-5):
+    def __init__(self, channels: int):
         super().__init__()
         self.channels = channels
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.gamma = Parameter(np.ones(channels, dtype=np.float32), kind="bn")
         self.beta = Parameter(np.zeros(channels, dtype=np.float32), kind="bn")
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
@@ -192,8 +187,7 @@ class BatchNorm2d(Module):
         if x.shape[1] != self.channels:
             raise ShapeError(f"batch norm over {self.channels} channels got {x.shape[1]}")
         return ad.batch_norm2d(x, self.gamma, self.beta,
-                               self.running_mean, self.running_var,
-                               self.training, self.momentum, self.epsilon)
+                               self.running_mean, self.running_var, self.training)
 
 
 class ReLU(Module):

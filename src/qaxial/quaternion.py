@@ -11,13 +11,15 @@ with a structured weight tensor: each (output-group, input-group) block of
 the expanded weight holds only four independent values.
 :class:`QuaternionConv2d` never builds that weight.  Its one op,
 :func:`~qaxial.autodiff.quaternion_conv2d`, applies the signs to the im2col
-columns of its input instead, so one GEMM against the four stacked
-components gives the output, and the component gradients come out of one
-GEMM too.  ``expanded_weight`` still builds the real weight, as the reference
-the tests compare against.  :class:`QuaternionBank1x1` builds its 4x4
-matrices with :func:`~qaxial.autodiff.signed_blocks` from the same table;
-each shared component's gradient is the signed sum of the gradients over its
-four placements.
+columns of its input instead, so one GEMM against the layer's one weight
+tensor gives the output, and its gradient comes out of one GEMM too.  Each
+layer stores its kernel as one ``weight`` with the four components stacked on
+axis 1: [q_out, 4, q_in, kh, kw] for the conv, [channels/4, 4] for the bank.
+``expanded_weight`` still builds the real weight, as the reference the tests
+compare against.  :class:`QuaternionBank1x1` builds its 4x4 matrices with
+:func:`~qaxial.autodiff.signed_blocks` from the same table; each shared
+component's gradient is the signed sum of the gradients over its four
+placements.
 """
 
 from __future__ import annotations
@@ -112,8 +114,9 @@ def quaternion_init(q_in: int, q_out: int, kh: int, kw: int,
 class QuaternionConv2d(Module):
     """Full quaternion 2-D convolution: q_out x q_in quaternion kernels.
 
-    Input/output channel counts are 4*q_in and 4*q_out; trainable real
-    parameter count is exactly 4 * q_out * q_in * kh * kw (no bias).
+    Input/output channel counts are 4*q_in and 4*q_out; ``weight`` is
+    [q_out, 4, q_in, kh, kw], so the trainable real parameter count is
+    exactly 4 * q_out * q_in * kh * kw (no bias).
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -132,23 +135,17 @@ class QuaternionConv2d(Module):
         self.q_in = in_channels // 4
         self.q_out = out_channels // 4
         comps = quaternion_init(self.q_in, self.q_out, kernel_size, kernel_size,
-                                rng or np.random.default_rng(0)).astype(np.float32)
-        self.w_r = Parameter(comps[0])
-        self.w_i = Parameter(comps[1])
-        self.w_j = Parameter(comps[2])
-        self.w_k = Parameter(comps[3])
-
-    def components(self):
-        return (self.w_r, self.w_i, self.w_j, self.w_k)
+                                rng or np.random.default_rng(0))
+        self.weight = Parameter(np.moveaxis(comps, 0, 1).astype(np.float32, order="C"))
 
     def expanded_weight(self) -> Tensor:
         """[4*q_out, 4*q_in, kh, kw] real weight built from the four components."""
-        blocks = ad.signed_blocks(self.components(), _EXPANSION, axes=(1, 3))
+        blocks = ad.signed_blocks(self.weight, _EXPANSION, axes=(1, 3))
         return ad.reshape(blocks, (self.out_channels, self.in_channels,
                                    self.kernel_size, self.kernel_size))
 
     def forward(self, x):
-        return ad.quaternion_conv2d(x, self.components(), _EXPANSION,
+        return ad.quaternion_conv2d(x, self.weight, _EXPANSION,
                                     self.stride, self.padding)
 
 
@@ -157,7 +154,7 @@ class QuaternionBank1x1(Module):
 
     Channels are split into m/4 groups of four; one quaternion weight is
     applied pixel-wise to each group, so groups never mix and the layer
-    holds exactly m trainable reals.
+    holds exactly m trainable reals, as ``weight`` [m/4, 4].
     """
 
     def __init__(self, channels: int, rng: np.random.Generator | None = None):
@@ -169,20 +166,13 @@ class QuaternionBank1x1(Module):
         self.groups = channels // 4
         rng = rng or np.random.default_rng(0)
         # one independent 4->4 module per group, so each draw uses fan 4+4
-        comps = np.concatenate(
-            [quaternion_init(1, 1, 1, 1, rng).reshape(4, 1) for _ in range(self.groups)],
-            axis=1)
-        self.w_r = Parameter(comps[0].astype(np.float32))
-        self.w_i = Parameter(comps[1].astype(np.float32))
-        self.w_j = Parameter(comps[2].astype(np.float32))
-        self.w_k = Parameter(comps[3].astype(np.float32))
-
-    def components(self):
-        return (self.w_r, self.w_i, self.w_j, self.w_k)
+        self.weight = Parameter(np.stack(
+            [quaternion_init(1, 1, 1, 1, rng).reshape(4) for _ in range(self.groups)]
+        ).astype(np.float32))
 
     def group_matrices(self) -> Tensor:
         """Differentiable [groups, 4, 4] stack of Hamilton matrices."""
-        return ad.signed_blocks(self.components(), _EXPANSION, axes=(1, 2))
+        return ad.signed_blocks(self.weight, _EXPANSION, axes=(1, 2))
 
     def forward(self, x):
         n, c, h, w = x.shape

@@ -37,8 +37,7 @@ class QuaternionColorizer(Module):
         self.conv_mid = QuaternionConv2d(c, c, 3, padding=1, rng=rng)
         self.conv_out = QuaternionConv2d(c, 4, 3, padding=1, rng=rng)
         self.relu = ReLU()
-        for comp in self.conv_out.components():  # start the head near zero
-            comp.data *= 0.1
+        self.conv_out.weight.data *= 0.1  # start the head near zero
 
     def forward(self, gray):
         n, _, h, w = gray.shape

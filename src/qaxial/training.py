@@ -409,14 +409,30 @@ def _read_checkpoint(path):
     return meta, tensors
 
 
+def _stack_quaternion_records(tensors: dict) -> None:
+    """Stack older files' four records per quaternion layer, ``<layer>.w_r``
+    to ``<layer>.w_k``, on axis 1 into the one ``<layer>.weight`` the layer
+    holds now.  Only ``.w_r`` starts a group: an axial layer's key
+    projection is also named ``w_k``."""
+    for key in [k for k in tensors if k.endswith(".w_r")]:
+        base = key[:-len("w_r")]
+        parts = [tensors.pop(base + c, None) for c in ("w_r", "w_i", "w_j", "w_k")]
+        if base + "weight" in tensors or any(
+                p is None or p.shape != parts[0].shape for p in parts):
+            raise CheckpointIntegrityError(f"records {base}w_r..w_k are not one weight")
+        tensors[base + "weight"] = np.stack(parts, axis=1)
+
+
 def checkpoint_load(path):
     """Rebuild (model, optimizer, epoch) from a checkpoint file, bit-exactly.
 
     The model is allocated without drawing an initialisation, and each
     tensor is copied once, out of the file bytes, which are freed before
-    the model is allocated.
+    the model is allocated.  Files that store a quaternion layer as four
+    ``w_r``..``w_k`` records load too (see :func:`_stack_quaternion_records`).
     """
     meta, tensors = _read_checkpoint(path)
+    _stack_quaternion_records(tensors)
     model = Model(spec_from_fields(meta), seed=None)
 
     def take(key, like: np.ndarray):

@@ -114,6 +114,10 @@ class ArchitectureSpec:
         if not 0 < self.width_scale < math.inf:
             raise ConfigurationError(
                 f"'width_scale' must be finite and > 0, got {self.width_scale}")
+        if not self.is_axial and (self.width_scale, self.heads) != (1.0, 8):
+            key = "width_scale" if self.width_scale != 1.0 else "heads"
+            raise ConfigurationError(f"'{key}' has no effect on {self.variant}: "
+                                     "width_scale must be 1 and heads 8")
         plan = self.group_plan()
         if min(m for m, _ in plan) < 1:
             raise ConfigurationError(f"width_scale {self.width_scale} collapses a group")

@@ -115,7 +115,7 @@ def test_criterion_04_structured_weight_equivalence():
         layer = QuaternionConv2d(4 * q_in, 4 * q_out, k, stride, pad,
                                  rng=np.random.default_rng(rng.integers(1e6)))
         x = rng.normal(size=(2, 4 * q_in, h, h))
-        comps = np.stack([c.data for c in layer.components()]).astype(np.float64)
+        comps = np.moveaxis(layer.weight.data, 1, 0).astype(np.float64)
         got = layer(Tensor(x.astype(np.float32))).data
         want = naive_conv2d(x, expand_quaternion_weight(comps), stride=stride,
                             padding=pad)
@@ -126,7 +126,7 @@ def test_criterion_04_structured_weight_equivalence():
         m = int(rng.integers(1, 6)) * 4
         bank = QuaternionBank1x1(m, rng=np.random.default_rng(rng.integers(1e6)))
         x = rng.normal(size=(2, m, 3, 3))
-        comps = np.stack([c.data for c in bank.components()]).astype(np.float64)
+        comps = bank.weight.data.T.astype(np.float64)
         got = bank(Tensor(x.astype(np.float32))).data
         want = naive_quaternion_bank(x, comps)
         npt.assert_allclose(got, want, atol=1e-6 * max(1.0, np.abs(want).max()))

@@ -396,9 +396,9 @@ class TestGradCheckOracle:
             table = (((0, 1.0), (1, -1.0)), ((1, 1.0), (0, -1.0)), ((0, -1.0), (0, 1.0)))
             proj = rand((2, 3, 3, 2), 6).data
 
-            def f(a, b):
-                return (ad.signed_blocks([a, b], table, axes=(1, 3)) * proj).sum()
-            inputs = [rand((2, 3), 3), rand((2, 3), 4)]
+            def f(t):
+                return (ad.signed_blocks(t, table, axes=(1, 3)) * proj).sum()
+            inputs = [rand((2, 2, 3), 3)]
         else:
             idx = np.array([0, 2, 2, 1])
 
@@ -409,13 +409,13 @@ class TestGradCheckOracle:
 
 
 def test_signed_blocks_places_signed_copies():
-    a, b = rand((2, 5), 0), rand((2, 5), 1)
+    t = rand((2, 2, 5), 0)  # components on axis 0
     table = (((0, 1.0), (1, -1.0), (1, 1.0)), ((1, 1.0), (0, -1.0), (0, 1.0)))
-    out = ad.signed_blocks([a, b], table, axes=(0, 2)).data
+    out = ad.signed_blocks(t, table, axes=(0, 2)).data
     assert out.shape == (2, 2, 3, 5)
     for r, row in enumerate(table):
         for c, (n, sign) in enumerate(row):
-            npt.assert_array_equal(out[r, :, c], sign * (a, b)[n].data)
+            npt.assert_array_equal(out[r, :, c], sign * t.data[n])
 
 
 class TestQuaternionConv2dOp:
@@ -423,18 +423,17 @@ class TestQuaternionConv2dOp:
     def test_grad_check_at_batch_3_stride_2_padding_1(self, k):
         proj = rand((3, 12, (7 - k) // 2 + 1, (8 - k) // 2 + 1), 20).data
 
-        def f(x, *comps):
-            return (ad.quaternion_conv2d(x, comps, _EXPANSION, stride=2, padding=1)
+        def f(x, weight):
+            return (ad.quaternion_conv2d(x, weight, _EXPANSION, stride=2, padding=1)
                     * proj).sum()
 
-        comps = [rand((3, 2, k, k), 21 + c) for c in range(4)]
-        assert grad_check(f, [rand((3, 8, 5, 6), 25)] + comps) < 1e-6
+        assert grad_check(f, [rand((3, 8, 5, 6), 25), rand((3, 4, 2, k, k), 21)]) < 1e-6
 
     def test_table_row_must_use_each_component_once(self):
-        x, comps = rand((1, 8, 3, 3), 0), [rand((1, 2, 1, 1), c) for c in range(4)]
+        x, weight = rand((1, 8, 3, 3), 0), rand((1, 4, 2, 1, 1), 1)
         bad = _EXPANSION[:3] + (((0, 1.0), (0, 1.0), (1, 1.0), (3, 1.0)),)
         with pytest.raises(ContractError):
-            ad.quaternion_conv2d(x, comps, bad)
+            ad.quaternion_conv2d(x, weight, bad)
 
 
 class TestDebugChecks:

@@ -43,6 +43,12 @@ class TestUsageErrors:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["count-params", "--variant", "axial", "--bogus"]) == 2
 
+    def test_count_params_refuses_options_a_conv_family_ignores(self, capsys):
+        code = main(["count-params", "--variant", "resnet", "--width-scale", "0.5",
+                     "--heads", "3"])
+        assert code == 1
+        assert "'width_scale'" in capsys.readouterr().err
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -80,8 +86,7 @@ class TestBadInputs:
         assert err.startswith("error:") and "'epochs'" in err
 
     def test_resume_with_other_class_count_exits_1(self, tmp_path, capsys):
-        spec = spec_for("resnet", 26, width_scale=0.25, num_classes=2,
-                        input_size=(3, 32, 32))
+        spec = spec_for("resnet", 26, num_classes=2, input_size=(3, 32, 32))
         model = build(spec, seed=0)
         checkpoint = tmp_path / "two_class.qx"
         checkpoint_save(checkpoint, model, SGDMomentum(model.named_parameters()), 0)

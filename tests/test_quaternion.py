@@ -85,15 +85,15 @@ class TestHamiltonMatrix:
 class TestQuaternionConv2d:
     def test_identity_weights_pass_input_through(self):
         layer = QuaternionConv2d(4, 4, 1)
-        for comp, value in zip(layer.components(), (1.0, 0.0, 0.0, 0.0)):
-            comp.data[...] = value
+        layer.weight.data[...] = 0.0
+        layer.weight.data[:, 0] = 1.0
         x = Tensor(np.random.default_rng(3).normal(size=(2, 4, 3, 3)).astype(np.float32))
         npt.assert_allclose(layer(x).data, x.data, atol=1e-6)
 
     def test_matches_structured_expansion_oracle(self):
         rng = np.random.default_rng(4)
         layer = QuaternionConv2d(8, 12, 3, stride=2, padding=1, rng=rng)
-        comps = np.stack([c.data for c in layer.components()]).astype(np.float64)
+        comps = np.moveaxis(layer.weight.data, 1, 0).astype(np.float64)
         x = rng.normal(size=(2, 8, 6, 6))
         got = layer(Tensor(x.astype(np.float32))).data
         want = naive_conv2d(x, expand_quaternion_weight(comps), stride=2, padding=1)
@@ -109,7 +109,7 @@ class TestQuaternionConv2d:
         rng = np.random.default_rng(5)
         layer = QuaternionConv2d(8, 8, 3, rng=rng)
         w = layer.expanded_weight().data
-        comps = np.stack([c.data for c in layer.components()])
+        comps = np.moveaxis(layer.weight.data, 1, 0)
         for o in range(2):
             for i in range(2):
                 for ky in range(3):
@@ -124,25 +124,31 @@ class TestQuaternionConv2d:
         proj = Tensor(np.random.default_rng(8).normal(size=(2, 8, 4, 4)))
         x_fixed = Tensor(np.random.default_rng(9).normal(size=(2, 8, 4, 4)))
         layer = QuaternionConv2d(8, 8, 3, padding=1, rng=np.random.default_rng(10))
-        err = grad_check(lambda *_: (layer(x_fixed) * proj).sum(),
-                         list(layer.components()))
+        err = grad_check(lambda *_: (layer(x_fixed) * proj).sum(), [layer.weight])
         assert err < 1e-4
 
     def test_writing_over_a_parameter_raises(self):
         layer = QuaternionConv2d(8, 8, 3)
-        with pytest.raises(ContractError, match="'w_r'"):
-            layer.w_r = Tensor(layer.w_r.data, requires_grad=True)
-        assert sorted(dict(layer.named_parameters())) == ["w_i", "w_j", "w_k", "w_r"]
-        layer.w_r = Parameter(layer.w_r.data)  # a Parameter still replaces one
-        assert sorted(dict(layer.named_parameters())) == ["w_i", "w_j", "w_k", "w_r"]
+        with pytest.raises(ContractError, match="'weight'"):
+            layer.weight = Tensor(layer.weight.data, requires_grad=True)
+        assert [name for name, _ in layer.named_parameters()] == ["weight"]
+        layer.weight = Parameter(layer.weight.data)  # a Parameter still replaces it
+        assert [name for name, _ in layer.named_parameters()] == ["weight"]
+
+    def test_one_weight_holds_the_components_on_axis_1(self):
+        layer = QuaternionConv2d(8, 12, 3, rng=np.random.default_rng(21))
+        assert [name for name, _ in layer.named_parameters()] == ["weight"]
+        assert layer.weight.shape == (3, 4, 2, 3, 3)
+        comps = quaternion_init(2, 3, 3, 3, np.random.default_rng(21))
+        npt.assert_array_equal(layer.weight.data,
+                               np.stack(list(comps), axis=1).astype(np.float32))
 
     def test_gradients_at_batch_3(self):
         proj = Tensor(np.random.default_rng(11).normal(size=(3, 8, 3, 3)))
         layer = QuaternionConv2d(4, 8, 3, stride=2, padding=1,
                                  rng=np.random.default_rng(12))
         x = Tensor(np.random.default_rng(13).normal(size=(3, 4, 5, 6)))
-        err = grad_check(lambda *_: (layer(x) * proj).sum(),
-                         [x] + list(layer.components()))
+        err = grad_check(lambda *_: (layer(x) * proj).sum(), [x, layer.weight])
         assert err < 1e-4
 
     @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (3, 2, 1), (3, 1, 1)])
@@ -155,9 +161,8 @@ class TestQuaternionConv2d:
             xt = Tensor(x, requires_grad=True)
             out = run(xt)
             backward((out * Tensor(np.cos(np.arange(out.size)).reshape(out.shape))).sum())
-            results.append([out.data, xt.grad] + [c.grad for c in layer.components()])
-            for c in layer.components():
-                c.zero_grad()
+            results.append([out.data, xt.grad, layer.weight.grad])
+            layer.weight.zero_grad()
         for got, want in zip(*results):
             npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -172,8 +177,8 @@ class TestQuaternionConv2d:
 class TestQuaternionBank:
     def test_identity_weights(self):
         bank = QuaternionBank1x1(8)
-        for comp, value in zip(bank.components(), (1.0, 0.0, 0.0, 0.0)):
-            comp.data[...] = value
+        bank.weight.data[...] = 0.0
+        bank.weight.data[:, 0] = 1.0
         x = Tensor(np.random.default_rng(11).normal(size=(2, 8, 3, 3)).astype(np.float32))
         npt.assert_allclose(bank(x).data, x.data, atol=1e-7)
 
@@ -181,12 +186,14 @@ class TestQuaternionBank:
         bank = QuaternionBank1x1(64)
         assert bank.groups == 16
         assert bank.param_count() == 64
+        assert [name for name, _ in bank.named_parameters()] == ["weight"]
+        assert bank.weight.shape == (16, 4)
 
     def test_matches_per_pixel_matrix_oracle(self):
         rng = np.random.default_rng(12)
         bank = QuaternionBank1x1(8, rng=rng)
         x = rng.normal(size=(3, 8, 2, 2))
-        comps = np.stack([c.data for c in bank.components()]).astype(np.float64)
+        comps = bank.weight.data.T.astype(np.float64)
         got = bank(Tensor(x.astype(np.float32))).data
         npt.assert_allclose(got, naive_quaternion_bank(x, comps), rtol=1e-5, atol=1e-6)
 
@@ -212,8 +219,7 @@ class TestQuaternionBank:
         x_fixed = Tensor(np.random.default_rng(14).normal(size=(2, 8, 3, 3)))
         proj = Tensor(np.random.default_rng(15).normal(size=(2, 8, 3, 3)))
         bank = QuaternionBank1x1(8, rng=np.random.default_rng(16))
-        err = grad_check(lambda *_: (bank(x_fixed) * proj).sum(),
-                         list(bank.components()) + [x_fixed])
+        err = grad_check(lambda *_: (bank(x_fixed) * proj).sum(), [bank.weight, x_fixed])
         assert err < 1e-4
 
 

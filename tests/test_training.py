@@ -20,6 +20,7 @@ from qaxial.errors import (
     TrainingDivergedError,
 )
 from qaxial.nn import Linear, Module, Parameter
+from qaxial.quaternion import QuaternionBank1x1, QuaternionConv2d
 from qaxial.training import (
     SGDMomentum,
     TrainConfig,
@@ -111,6 +112,30 @@ def record_boundaries(payload):
         at += nbytes
     assert at == len(payload)
     return ends
+
+
+def quaternion_records_split(path, out, layers, drop=()):
+    """Rewrite checkpoint ``path`` as ``out`` in the naming used while each
+    quaternion layer held four tensors: the ``param/`` and ``vel/`` records
+    ``<layer>.weight`` of ``layers`` become ``<layer>.w_r`` .. ``<layer>.w_k``,
+    one per index of axis 1.  Records named in ``drop`` are left out."""
+    payload = path.read_bytes()[:-8]
+    (blob_len,) = struct.unpack_from("<I", payload, 12)
+    records = []
+    for key, arr in training._read_checkpoint(path)[1].items():
+        kind, name = key.split("/", 1)
+        layer = name.rsplit(".", 1)[0]
+        if kind in ("param", "vel") and layer in layers:
+            records += [(f"{kind}/{layer}.{c}", np.ascontiguousarray(arr[:, i]))
+                        for i, c in enumerate(("w_r", "w_i", "w_j", "w_k"))]
+        else:
+            records.append((key, arr))
+    records = [(key, arr) for key, arr in records if key not in drop]
+    chunks = []
+    for key, arr in records:
+        training._write_tensor(chunks.append, key, arr)
+    reseal(out, payload[:16 + blob_len] + struct.pack("<I", len(records))
+           + b"".join(chunks))
 
 
 def tiny_spec(**overrides):
@@ -370,8 +395,8 @@ class TestEvaluate:
 
     def test_nan_classifier_weight_raises_not_scores(self):
         # argmax over NaN logits picks class 0, which scores 0.5 here
-        model = build(ArchitectureSpec("resnet", (1, 1, 1, 1), width_scale=0.25,
-                                       num_classes=2, input_size=(3, 32, 32)), seed=0)
+        model = build(ArchitectureSpec("resnet", (1, 1, 1, 1), num_classes=2,
+                                       input_size=(3, 32, 32)), seed=0)
         model.classifier.weight.data[0, 0] = np.nan
         with pytest.raises(NumericsError, match="from sample 0"):
             evaluate(model, tiny_dataset(n=8, classes=2))
@@ -614,6 +639,40 @@ class TestCheckpoint:
             reseal(path, payload)
         with pytest.raises(CheckpointIntegrityError, match=f"{where} is not UTF-8"):
             checkpoint_load(path)
+
+    def _quaternion_saved(self, tmp_path, variant):
+        extra = {"width_scale": 0.25} if variant == "quat_axial" else {}
+        model = build(ArchitectureSpec(variant, (1, 1, 1, 1), num_classes=4,
+                                       input_size=(3, 32, 32), **extra), seed=0)
+        opt = SGDMomentum(model.named_parameters(), 0.9, 9e-5)
+        for i, arr in enumerate(training_state(model, opt).values()):
+            arr[...] = ((np.arange(arr.size) % 13 - 6) / 8 + i).reshape(arr.shape)
+        path = tmp_path / "direct.qx"
+        checkpoint_save(path, model, opt, epoch=3)
+        layers = {name for name, mod in model.named_modules()
+                  if isinstance(mod, (QuaternionConv2d, QuaternionBank1x1))}
+        return path, layers
+
+    @pytest.mark.parametrize("variant", ["quat_axial", "quat_resnet"])
+    def test_four_component_records_load_bit_for_bit(self, tmp_path, variant):
+        direct, layers = self._quaternion_saved(tmp_path, variant)
+        legacy = tmp_path / "legacy.qx"
+        quaternion_records_split(direct, legacy, layers)
+        keys = training._read_checkpoint(legacy)[1]
+        assert sum(key.endswith(".w_j") for key in keys) == 2 * len(layers) > 0
+        again = tmp_path / "again.qx"
+        checkpoint_save(again, *checkpoint_load(legacy))
+        assert again.read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["param", "vel"])
+    @pytest.mark.parametrize("component", ["w_r", "w_i", "w_j", "w_k"])
+    def test_missing_component_record_is_rejected(self, tmp_path, kind, component):
+        direct, layers = self._quaternion_saved(tmp_path, "quat_axial")
+        legacy = tmp_path / "legacy.qx"
+        quaternion_records_split(direct, legacy, layers,
+                                 drop={f"{kind}/{min(layers)}.{component}"})
+        with pytest.raises(CheckpointIntegrityError, match=re.escape(min(layers))):
+            checkpoint_load(legacy)
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         config = TrainConfig(epochs=2, batch_size=6, base_lr=0.01,

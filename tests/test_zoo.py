@@ -76,6 +76,19 @@ class TestSpec:
         with pytest.raises(ConfigurationError):
             ArchitectureSpec("axial", width_scale=0.3)  # widths not head-divisible
 
+    @pytest.mark.parametrize("variant", ["resnet", "quat_resnet"])
+    @pytest.mark.parametrize("key,value", [("width_scale", 0.5), ("heads", 3)])
+    def test_conv_families_refuse_what_they_ignore(self, variant, key, value):
+        # neither value changes a conv model, so accepting one would record
+        # it in the spec text of a model built without it
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            ArchitectureSpec(variant, **{key: value})
+        text = re.sub(f"^{key} = .*$", f"{key} = {value}",
+                      spec_to_text(ArchitectureSpec(variant)), flags=re.M)
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            spec_from_text(text)
+        ArchitectureSpec(variant, width_scale=1.0, heads=8)  # what they build with
+
     def test_text_round_trip(self):
         spec = spec_for("quat_axial", 26, num_classes=10, input_size=(3, 32, 32),
                         width_scale=0.25)
@@ -283,12 +296,14 @@ class TestSummarize:
         rows = summarize(build(small_spec(variant)), batch_size=2)
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
-    # sha256 over every parameter and buffer (name, then bytes) at seed 5
+    # sha256 over every parameter and buffer (name, then bytes) at seed 5; the
+    # quaternion rows were taken when each layer held four tensors w_r..w_k,
+    # stacked on axis 1 as <layer>.weight
     @pytest.mark.parametrize("variant,digest", [
         ("resnet", "0ae4fc12e3c7e411faa560d2224474fc940e6beddb38fa55d7b6bcc5aa370e86"),
-        ("quat_resnet", "631e2214f04c6906a46b8a50496a55a639ec39afc9530bbd693ff7351e944a43"),
+        ("quat_resnet", "70c77184ff1b5301daffcd1e7523c6773a287848d7dfff012d88c4bb1609c7de"),
         ("axial", "e6a52bfcb8e55e172ee051d783213652c5916e3010584d05a2c5d08a7954d22b"),
-        ("quat_axial", "5aaff24351278e3bead942ec087352fa7979e77d8b95122824b93ec9dab113c5"),
+        ("quat_axial", "6255888475bebb9b1014a79bf11a013651879b11fa2498fd8accc97729ba57e6"),
     ])
     def test_built_values_are_pinned(self, variant, digest):
         model = build(small_spec(variant), seed=5)
@@ -298,6 +313,24 @@ class TestSummarize:
             h.update(name.encode())
             h.update(arr.tobytes())
         assert h.hexdigest() == digest
+
+    # one forward and backward of quat_resnet (1,1,1,1) at seed 2 on a fixed
+    # batch of 4: the loss bits and sha256 over every gradient (name, then
+    # bytes).  Taken when each quaternion layer still held four component
+    # tensors, with their gradients stacked on axis 1 as <layer>.weight; the
+    # bits depend on the BLAS build, as criterion 9's do
+    def test_quat_resnet_step_is_pinned(self):
+        model = build(small_spec("quat_resnet"), seed=2)
+        x = np.random.default_rng(4).normal(size=(4, 3, 32, 32)).astype(np.float32)
+        loss = ad.cross_entropy(model(Tensor(x)), np.array([0, 3, 7, 9]))
+        ad.backward(loss)
+        h = hashlib.sha256()
+        for name, p in model.named_parameters():
+            h.update(name.encode())
+            h.update(p.grad.tobytes())
+        assert float(loss.data).hex() == "0x1.5ce6620000000p+1"
+        assert h.hexdigest() == \
+            "1206042c183d56663ea05639e781f3ccc089ec4517c4c267f9842a9b3f010b07"
 
     def test_deterministic_build(self):
         a = build(small_spec("axial"), seed=7)
