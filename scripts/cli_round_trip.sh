@@ -2,7 +2,10 @@
 # CLI round trip on a tiny synthetic dataset, for quat_axial (width 0.25) and
 # quat_resnet: train one epoch, resume to epoch 2 from its checkpoint,
 # evaluate the result.  Each command must exit 0, and history.csv must then
-# list epochs 0 and 1.
+# list epochs 0 and 1.  Then two misuses of the quat_resnet checkpoint must be
+# refused (exit 1, "error:" on stderr): eval on a dataset with another class
+# count, and a resume whose flags name another architecture, which must also
+# leave no --out directory behind.
 # Run from the repository root: bash scripts/cli_round_trip.sh
 set -euo pipefail
 
@@ -25,3 +28,15 @@ for model in "quat_axial --width-scale 0.25" "quat_resnet"; do
     test "$(cut -d, -f1 "$run/history.csv" | tail -n +2 | paste -sd, -)" = "0,1"
     qaxial eval --checkpoint "$run/checkpoint.qx" --data "$data"
 done
+
+refused() {
+    local code=0
+    qaxial "$@" 2> "$work/err" || code=$?
+    cat "$work/err" >&2
+    test "$code" = 1 && grep -q '^error:' "$work/err"
+}
+checkpoint="$work/quat_resnet/checkpoint.qx"
+refused eval --checkpoint "$checkpoint" --data synthetic://classes=5,per_class=5,size=32,seed=0
+refused train --variant quat_axial --depth 50 --width-scale 0.25 --heads 2 --data "$data" \
+    --config "$work/one.cfg" --out "$work/refused" --resume "$checkpoint"
+test ! -e "$work/refused"

@@ -487,105 +487,85 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding):
     return out
 
 
+REAL = (((0, 1.0),),)  # the one-cell sign table of a plain convolution
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation over [N,Cin,H,W] with weight [Cout,Cin,kh,kw].
+           stride: int = 1, padding: int = 0, table=REAL) -> Tensor:
+    """2-D cross-correlation over [N, Cin, H, W] with a weight that reuses
+    its components in the sign pattern ``table``.
 
-    The batch folds into the im2col columns, [Cin*kh*kw, N*Ho*Wo], so the
-    forward, the weight gradient and the input gradient are one GEMM each:
-    wmat @ cols, gmat @ cols.T and wmat.T @ gmat, with gmat the output
-    gradient as [Cout, N*Ho*Wo].
-    """
-    if x.ndim != 4 or weight.ndim != 4:
-        raise ShapeError("conv2d expects 4-D input and weight")
-    n, cin, h, w = x.shape
-    cout, cin_w, kh, kw = weight.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv2d: input has {cin} channels, weight expects {cin_w}")
-    if bias is not None and bias.shape != (cout,):
-        raise ShapeError("conv2d bias must have shape (Cout,)")
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-    wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = wmat @ cols
-    if bias is not None:
-        out = out + bias.data[:, None]
-    # [Cout, N, Ho, Wo] -> [N, Cout, Ho, Wo]; no copy at N = 1
-    out = np.ascontiguousarray(out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
+    ``weight`` is [q_out, nc, q_in, kh, kw], component ``c`` on axis 1; a 4-D
+    [Cout, Cin, kh, kw] weight has ``nc = 1``.  ``table[a][b] = (c, sign)``
+    (sign +1.0 or -1.0) makes output component ``a`` take ``sign`` times
+    component ``c`` of input component ``b``; each row uses every component
+    once.  Channel ``nb*g + b`` is component ``b`` of group ``g``, and
+    ``bias`` has one entry per real output channel ``na*q + a``.  The default,
+    :data:`REAL`, makes a plain convolution.
 
-    def backward(g):
-        gmat = g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
-        if weight.requires_grad:
-            weight._accumulate((gmat @ cols.T).reshape(weight.shape))
-        if x.requires_grad:
-            x._accumulate(_col2im(wmat.T @ gmat, x.shape, kh, kw, stride, padding))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(out, parents, backward, "conv2d")
-
-
-def quaternion_conv2d(x: Tensor, weight: Tensor, table, stride: int = 1,
-                      padding: int = 0) -> Tensor:
-    """conv2d with the structured weight that ``signed_blocks(weight, table,
-    (1, 3))`` would build, never built.
-
-    ``weight`` is [q_out, nc, q_in, kh, kw], component ``c`` on axis 1.
-    ``table[a][b] = (c, sign)`` (sign +1.0 or -1.0) makes output component
-    ``a`` take ``sign`` times component ``c`` of input component ``b``; each
-    row uses every component once.  Channel ``4g + b`` (for a 4x4 table) is
-    component ``b`` of group ``g``.  The signs act on the im2col columns
-    instead of the weight: block ``(c, a)`` of
-    ``xt [nc*q_in*kh*kw, na*N*Ho*Wo]`` is ``sign * cols_b``, so with
-    ``wmat = weight`` as [q_out, nc*q_in*kh*kw] the forward, the weight
-    gradient and the input gradient are one GEMM each, ``wmat @ xt``,
-    ``gmat @ xt.T`` and ``wmat.T @ gmat``; the last is folded back through
-    the signs into ``_col2im``.
+    The batch folds into the im2col columns and the signs act on them, not on
+    the weight: block ``(c, a)`` of ``xt [nc*q_in*kh*kw, na*N*Ho*Wo]`` is
+    ``sign * cols_b``.  With ``wmat = weight`` as [q_out, nc*q_in*kh*kw] the
+    forward, the weight gradient and the input gradient are one GEMM each,
+    ``wmat @ xt``, ``gmat @ xt.T`` and ``wmat.T @ gmat``; the last is folded
+    back through the signs into ``_col2im``.  Under :data:`REAL` ``xt`` is the
+    columns themselves and nothing is folded.
     """
     weight = _coerce(weight, x)
-    if x.ndim != 4 or weight.ndim != 5:
-        raise ShapeError("quaternion_conv2d expects 4-D input and 5-D weight")
+    if x.ndim != 4 or weight.ndim not in (4, 5):
+        raise ShapeError("conv2d expects 4-D input and a 4-D or 5-D weight")
     na, nb = len(table), len(table[0])
     n, cin, h, w = x.shape
-    q_out, nc, q_in, kh, kw = weight.shape
+    q_out, nc, q_in, kh, kw = (weight.shape if weight.ndim == 5
+                               else (weight.shape[0], 1, *weight.shape[1:]))
     if any(sorted(c for c, _ in row) != list(range(nc)) for row in table):
         raise ContractError("every table row must use each component exactly once")
     if cin != nb * q_in:
-        raise ShapeError(f"quaternion_conv2d: input has {cin} channels, "
-                         f"weight expects {nb * q_in}")
+        raise ShapeError(f"conv2d: input has {cin} channels, weight expects {nb * q_in}")
+    if bias is not None and bias.shape != (q_out * na,):
+        raise ShapeError(f"conv2d bias must have shape ({q_out * na},)")
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     m = n * ho * wo
-    # cols rows are (g, b, ky, kx); xt rows are (c, g, ky, kx), columns (a, m)
-    cols_b = cols.reshape(q_in, nb, kh * kw, m)
-    xt = np.empty((nc, q_in, kh * kw, na, m), dtype=x.dtype)
-    for a, row in enumerate(table):
-        for b, (c, sign) in enumerate(row):
-            np.multiply(cols_b[:, b], sign, out=xt[c, :, :, a])
-    xt = xt.reshape(nc * q_in * kh * kw, na * m)
-    del cols, cols_b
+    plain = table == REAL
+    if plain:
+        xt = cols
+    else:
+        # cols rows are (g, b, ky, kx); xt rows are (c, g, ky, kx), columns (a, m)
+        cols_b = cols.reshape(q_in, nb, kh * kw, m)
+        xt = np.empty((nc, q_in, kh * kw, na, m), dtype=x.dtype)
+        for a, row in enumerate(table):
+            for b, (c, sign) in enumerate(row):
+                np.multiply(cols_b[:, b], sign, out=xt[c, :, :, a])
+        xt = xt.reshape(nc * q_in * kh * kw, na * m)
+        del cols, cols_b
 
     wmat = weight.data.reshape(q_out, nc * q_in * kh * kw)
-    out = wmat @ xt
+    out = (wmat @ xt).reshape(q_out, na, n, ho, wo)
+    if bias is not None:
+        out = out + bias.data.reshape(q_out, na, 1, 1, 1)
     # [q_out, na, N, Ho, Wo] -> [N, q_out*na, Ho, Wo]; no copy at N = 1
-    out = np.ascontiguousarray(
-        out.reshape(q_out, na, n, ho, wo).transpose(2, 0, 1, 3, 4)
-    ).reshape(n, q_out * na, ho, wo)
+    out = np.ascontiguousarray(out.transpose(2, 0, 1, 3, 4)).reshape(n, q_out * na, ho, wo)
 
     def backward(g):
         gmat = g.reshape(n, q_out, na, ho * wo).transpose(1, 2, 0, 3).reshape(q_out, na * m)
         if weight.requires_grad:
             weight._accumulate((gmat @ xt.T).reshape(weight.shape))
         if x.requires_grad:
-            gxt = (wmat.T @ gmat).reshape(nc, q_in, kh * kw, na, m)
-            gcols = np.zeros((q_in, nb, kh * kw, m), dtype=g.dtype)
-            for a, row in enumerate(table):
-                for b, (c, sign) in enumerate(row):
-                    (np.add if sign > 0 else np.subtract)(
-                        gcols[:, b], gxt[c, :, :, a], out=gcols[:, b])
-            x._accumulate(_col2im(gcols.reshape(cin * kh * kw, m), x.shape,
-                                  kh, kw, stride, padding))
+            gxt = wmat.T @ gmat
+            if not plain:
+                gxt = gxt.reshape(nc, q_in, kh * kw, na, m)
+                gcols = np.zeros((q_in, nb, kh * kw, m), dtype=g.dtype)
+                for a, row in enumerate(table):
+                    for b, (c, sign) in enumerate(row):
+                        (np.add if sign > 0 else np.subtract)(
+                            gcols[:, b], gxt[c, :, :, a], out=gcols[:, b])
+                gxt = gcols.reshape(cin * kh * kw, m)
+            x._accumulate(_col2im(gxt, x.shape, kh, kw, stride, padding))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 2, 3)))
 
-    return _result(out, (x, weight), backward, "quaternion_conv2d")
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _result(out, parents, backward, "conv2d")
 
 
 def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .recon import color_reconstruction_experiment
 from .training import TrainConfig, checkpoint_load, evaluate, train
 from .zoo import (
     DEPTH_MULTIPLIERS,
+    SPEC_CASTS,
     VARIANTS,
     ArchitectureSpec,
     AxialBottleneck,
@@ -79,6 +81,12 @@ def _model_spec(args, data=None) -> ArchitectureSpec:
     return spec_for(args.variant, args.depth, heads=args.heads, **overrides)
 
 
+def _describe(spec: ArchitectureSpec) -> str:
+    return (f"{spec.variant} {','.join(map(str, spec.block_multipliers))} "
+            f"(width {spec.width_scale:g}, {spec.heads} heads, "
+            f"{'x'.join(map(str, spec.input_size))} input, {spec.num_classes} classes)")
+
+
 def cmd_count_params(args) -> int:
     spec = _model_spec(args)
     layers = count_layers(spec, include_quaternion=args.quat_layers)
@@ -92,14 +100,17 @@ def cmd_train(args) -> int:
     train_data, val_data = load_dataset(args.data)
     config = TrainConfig.from_text(Path(args.config).read_text()) \
         if args.config else TrainConfig()
+    spec = _model_spec(args, train_data)
     if args.resume:
         model, optimizer, start_epoch = checkpoint_load(args.resume)
-        if model.spec.num_classes != train_data.class_count:
+        if model.spec != spec:
+            key = next(k for k, a, b in zip(SPEC_CASTS, astuple(model.spec), astuple(spec))
+                       if a != b)
             raise ConfigurationError(
-                f"checkpoint {args.resume} predicts {model.spec.num_classes} classes "
-                f"but {args.data} has {train_data.class_count}")
+                f"checkpoint {args.resume} holds {_describe(model.spec)}, but the flags "
+                f"and {args.data} give {_describe(spec)}: '{key}' differs")
     else:
-        model = build(_model_spec(args, train_data), seed=args.seed)
+        model = build(spec, seed=args.seed)
         optimizer, start_epoch = None, 0
     out_dir = Path(args.out)
     augment = None if args.no_augment else AugmentationPolicy()
@@ -117,6 +128,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, _, _ = checkpoint_load(args.checkpoint)
     data, held = load_dataset(args.data)
+    if data.class_count != model.spec.num_classes:
+        raise ConfigurationError(
+            f"checkpoint {args.checkpoint} predicts {model.spec.num_classes} classes "
+            f"but {args.data} has {data.class_count}")
     split = held if args.split == "val" and held is not None else data
     print(f"top1: {evaluate(model, split)!r}")  # repr: exact round-trip
     return 0

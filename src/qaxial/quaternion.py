@@ -9,12 +9,13 @@ the four components of w in a fixed sign pattern, the sign table
 ``_EXPANSION``, so a quaternion convolution is exactly a real convolution
 with a structured weight tensor: each (output-group, input-group) block of
 the expanded weight holds only four independent values.
-:class:`QuaternionConv2d` never builds that weight.  Its one op,
-:func:`~qaxial.autodiff.quaternion_conv2d`, applies the signs to the im2col
-columns of its input instead, so one GEMM against the layer's one weight
-tensor gives the output, and its gradient comes out of one GEMM too.  Each
-layer stores its kernel as one ``weight`` with the four components stacked on
-axis 1: [q_out, 4, q_in, kh, kw] for the conv, [channels/4, 4] for the bank.
+:class:`QuaternionConv2d` never builds that weight.  It calls the same op as
+a real convolution, :func:`~qaxial.autodiff.conv2d`, with ``_EXPANSION`` as
+its sign table; the op applies the signs to the im2col columns of its input
+instead, so one GEMM against the layer's one weight tensor gives the output,
+and its gradient comes out of one GEMM too.  Each layer stores its kernel as
+one ``weight`` with the four components stacked on axis 1:
+[q_out, 4, q_in, kh, kw] for the conv, [channels/4, 4] for the bank.
 ``expanded_weight`` still builds the real weight, as the reference the tests
 compare against.  :class:`QuaternionBank1x1` builds its 4x4 matrices with
 :func:`~qaxial.autodiff.signed_blocks` from the same table; each shared
@@ -145,8 +146,7 @@ class QuaternionConv2d(Module):
                                    self.kernel_size, self.kernel_size))
 
     def forward(self, x):
-        return ad.quaternion_conv2d(x, self.weight, _EXPANSION,
-                                    self.stride, self.padding)
+        return ad.conv2d(x, self.weight, None, self.stride, self.padding, _EXPANSION)
 
 
 class QuaternionBank1x1(Module):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -17,10 +18,10 @@ from qaxial.errors import (
     QaxialError,
     ShapeError,
 )
-from qaxial.nn import Linear, Parameter
+from qaxial.nn import Conv2d, Linear, Parameter
 from qaxial.quaternion import _EXPANSION
 
-from oracles import naive_conv2d, naive_conv2d_grads
+from oracles import expand_quaternion_weight, naive_conv2d, naive_conv2d_grads
 
 
 def rand(shape, seed, dtype=np.float64, scale=1.0):
@@ -109,6 +110,49 @@ class TestConv2d:
         npt.assert_allclose(x.grad, gx, rtol=1e-10, atol=1e-12)
         npt.assert_allclose(w.grad, gw, rtol=1e-10, atol=1e-12)
         npt.assert_allclose(b.grad, gb, rtol=1e-10, atol=1e-12)
+
+    # sha256 of the output and the input, weight and bias gradients, taken
+    # when the quaternion conv was a second op beside this one: the one-cell
+    # table must keep every GEMM operand and the bias add of a plain conv
+    @pytest.mark.parametrize("dtype,n,k,stride,padding,digest", [
+        (np.float32, 1, 1, 1, 0,
+         "4e70e52c3909e9ee45a923fbf7540e29120053cee8a75eccfd163d1d1221044a"),
+        (np.float32, 1, 3, 2, 1,
+         "a127da7d88f8a077e47d035fb74a26ea702a28e7667dff82c1d16a822caf9234"),
+        (np.float32, 3, 1, 1, 0,
+         "287a57c53905b81b8729c4c495b8ad89caa880f997005c4212a6c53e04669e78"),
+        (np.float32, 3, 3, 2, 1,
+         "247c35ffc6e0f3fc2e833fe04cace7de7a032d592f1f98ad84c9df60ef7493a5"),
+        (np.float64, 1, 1, 1, 0,
+         "b3af90c8e80c31ba8d7bdce085beccd4b2f6d772ac94e0b07f699ca6bb1a522a"),
+        (np.float64, 1, 3, 2, 1,
+         "dfd0eb597f5b8dcc197e15a3dcb3dae7131ba090810e0472062f4c95d35a2504"),
+        (np.float64, 3, 1, 1, 0,
+         "9202495aeef90808a4de987d2213d46dbb1fffbc84b487dfa67c12c494085905"),
+        (np.float64, 3, 3, 2, 1,
+         "e4d824734ee344e8189fbe6f193c9b1a2121c9f62e7385becefa1a95172651cd"),
+    ])
+    def test_outputs_and_gradients_are_pinned(self, dtype, n, k, stride, padding, digest):
+        x, w, b = rand((n, 4, 7, 6), 40, dtype), rand((5, 4, k, k), 41, dtype), \
+            rand((5,), 42, dtype)
+        out = ad.conv2d(x, w, b, stride, padding)
+        proj = np.cos(np.arange(out.size)).reshape(out.shape).astype(dtype)
+        backward((out * Tensor(proj)).sum())
+        h = hashlib.sha256()
+        for a in (out.data, x.grad, w.grad, b.grad):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_plain_1x1_conv_keeps_its_input_view(self):
+        """At batch 1, 1x1, stride 1, unpadded, the columns of a plain conv
+        are a view of its input, and the backward holds them once."""
+        layer = Conv2d(8, 6, 1, rng=np.random.default_rng(0))
+        x = Tensor(np.ones((1, 8, 5, 4), dtype=np.float32), requires_grad=True)
+        out = layer(x)
+        cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        cols = [a for a in cells if isinstance(a, np.ndarray) and a.size == 8 * 5 * 4]
+        assert len(cols) == 1
+        assert np.shares_memory(cols[0], x.data)
 
 
 class TestBatchNorm:
@@ -419,21 +463,35 @@ def test_signed_blocks_places_signed_copies():
 
 
 class TestQuaternionConv2dOp:
+    """``conv2d`` under the Hamilton table: the quaternion convolution."""
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_grad_check_at_batch_3_stride_2_padding_1(self, k):
         proj = rand((3, 12, (7 - k) // 2 + 1, (8 - k) // 2 + 1), 20).data
 
-        def f(x, weight):
-            return (ad.quaternion_conv2d(x, weight, _EXPANSION, stride=2, padding=1)
+        def f(x, weight, bias):
+            return (ad.conv2d(x, weight, bias, stride=2, padding=1, table=_EXPANSION)
                     * proj).sum()
 
-        assert grad_check(f, [rand((3, 8, 5, 6), 25), rand((3, 4, 2, k, k), 21)]) < 1e-6
+        inputs = [rand((3, 8, 5, 6), 25), rand((3, 4, 2, k, k), 21), rand((12,), 22)]
+        assert grad_check(f, inputs) < 1e-6
+
+    def test_bias_is_per_real_output_channel(self):
+        rng = np.random.default_rng(23)
+        x, comps, b = (rng.normal(size=(2, 8, 5, 5)), rng.normal(size=(4, 3, 2, 3, 3)),
+                       rng.normal(size=(12,)))
+        got = ad.conv2d(Tensor(x), Tensor(np.moveaxis(comps, 0, 1)), Tensor(b),
+                        stride=2, padding=1, table=_EXPANSION).data
+        want = naive_conv2d(x, expand_quaternion_weight(comps), b, stride=2, padding=1)
+        npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_table_row_must_use_each_component_once(self):
         x, weight = rand((1, 8, 3, 3), 0), rand((1, 4, 2, 1, 1), 1)
         bad = _EXPANSION[:3] + (((0, 1.0), (0, 1.0), (1, 1.0), (3, 1.0)),)
         with pytest.raises(ContractError):
-            ad.quaternion_conv2d(x, weight, bad)
+            ad.conv2d(x, weight, table=bad)
+        with pytest.raises(ContractError):  # four components, one-cell table
+            ad.conv2d(rand((1, 2, 3, 3), 0), weight)
 
 
 class TestDebugChecks:

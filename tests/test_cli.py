@@ -25,6 +25,13 @@ def smoke_config(tmp_path, epochs=2):
     return path
 
 
+def two_class_resnet_checkpoint(tmp_path):
+    model = build(spec_for("resnet", 26, num_classes=2, input_size=(3, 32, 32)), seed=0)
+    path = tmp_path / "two_class.qx"
+    checkpoint_save(path, model, SGDMomentum(model.named_parameters()), 0)
+    return path
+
+
 class TestCountParams:
     def test_axial_26_within_tolerance_of_published(self, capsys):
         assert main(["count-params", "--variant", "axial", "--depth", "26"]) == 0
@@ -98,6 +105,26 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2 classes" in err and "10" in err
         assert not out_dir.exists()  # rejected before any training
+
+    def test_resume_with_flags_naming_another_architecture_exits_1(self, tmp_path,
+                                                                    capsys):
+        out_dir = tmp_path / "run"
+        code = main(["train", "--variant", "quat_axial", "--depth", "50",
+                     "--width-scale", "0.25", "--heads", "2",
+                     "--resume", str(two_class_resnet_checkpoint(tmp_path)),
+                     "--data", "synthetic://classes=2,per_class=2,size=32,seed=0",
+                     "--config", str(smoke_config(tmp_path)), "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'variant' differs" in err
+        assert not out_dir.exists()  # rejected before any training
+
+    def test_eval_on_other_class_count_exits_1(self, tmp_path, capsys):
+        code = main(["eval", "--checkpoint", str(two_class_resnet_checkpoint(tmp_path)),
+                     "--data", "synthetic://classes=5,per_class=5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2 classes" in err and "has 5" in err
 
     @pytest.mark.parametrize("argv,key", [
         (["count-params", "--variant", "resnet", "--classes", "0"], "classes"),
