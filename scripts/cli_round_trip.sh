@@ -2,10 +2,12 @@
 # CLI round trip on a tiny synthetic dataset, for quat_axial (width 0.25) and
 # quat_resnet: train one epoch, resume to epoch 2 from its checkpoint,
 # evaluate the result.  Each command must exit 0, and history.csv must then
-# list epochs 0 and 1.  Then two misuses of the quat_resnet checkpoint must be
-# refused (exit 1, "error:" on stderr): eval on a dataset with another class
-# count, and a resume whose flags name another architecture, which must also
-# leave no --out directory behind.
+# list epochs 0 and 1.  Then four misuses must be refused (exit 1, "error:"
+# and no "Traceback" on stderr): eval of the quat_resnet checkpoint on a
+# dataset with another class count; a resume from it whose flags name another
+# architecture, which must also leave no --out directory behind; train with a
+# --config file that is not UTF-8; and subsample --per-class 0, which must
+# write no manifest.
 # Run from the repository root: bash scripts/cli_round_trip.sh
 set -euo pipefail
 
@@ -33,10 +35,16 @@ refused() {
     local code=0
     qaxial "$@" 2> "$work/err" || code=$?
     cat "$work/err" >&2
-    test "$code" = 1 && grep -q '^error:' "$work/err"
+    test "$code" = 1 && grep -q '^error:' "$work/err" && ! grep -q Traceback "$work/err"
 }
 checkpoint="$work/quat_resnet/checkpoint.qx"
 refused eval --checkpoint "$checkpoint" --data synthetic://classes=5,per_class=5,size=32,seed=0
 refused train --variant quat_axial --depth 50 --width-scale 0.25 --heads 2 --data "$data" \
     --config "$work/one.cfg" --out "$work/refused" --resume "$checkpoint"
 test ! -e "$work/refused"
+printf '\xff\xfeepochs = 1\n' > "$work/bad.cfg"
+refused train --variant quat_resnet --data "$data" --config "$work/bad.cfg" --out "$work/bad"
+mkdir -p "$work/tree/a"
+touch "$work/tree/a/0.ppm"
+refused subsample --root "$work/tree" --per-class 0
+test ! -e "$work/tree/manifest.txt"

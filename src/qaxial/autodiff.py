@@ -760,12 +760,12 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
-                 training: bool, momentum: float = 0.1, epsilon: float = 1e-5) -> Tensor:
-    """Per-channel batch normalization over [N,C,H,W].
+                 training: bool) -> Tensor:
+    """Per-channel batch normalization over [N,C,H,W], epsilon 1e-5.
 
     Train mode normalizes by batch statistics and updates the running
-    buffers in place (new = (1-momentum)*old + momentum*batch); eval mode
-    applies the running statistics as a fixed affine transform.
+    buffers in place (new = 0.9*old + 0.1*batch, the variance unbiased);
+    eval mode applies the running statistics as a fixed affine transform.
     """
     if x.ndim != 4:
         raise ShapeError("batch_norm2d expects 4-D input")
@@ -777,15 +777,15 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
             raise DegenerateBatchError(f"batch norm needs N*H*W >= 2, got {m}")
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * (m / (m - 1))  # unbiased for the buffer
+        running_mean *= 0.9
+        running_mean += 0.1 * mean
+        running_var *= 0.9
+        running_var += 0.1 * var * (m / (m - 1))  # unbiased for the buffer
     else:
         mean = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + epsilon)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 

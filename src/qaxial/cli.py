@@ -90,7 +90,7 @@ def _describe(spec: ArchitectureSpec) -> str:
 def cmd_count_params(args) -> int:
     spec = _model_spec(args)
     layers = count_layers(spec, include_quaternion=args.quat_layers)
-    model = build(spec, seed=args.seed)
+    model = build(spec, seed=None)  # only shapes count: draw nothing
     print(f"layers: {layers}")
     print(f"params: {count_params(model)}")
     return 0
@@ -98,8 +98,13 @@ def cmd_count_params(args) -> int:
 
 def cmd_train(args) -> int:
     train_data, val_data = load_dataset(args.data)
-    config = TrainConfig.from_text(Path(args.config).read_text()) \
-        if args.config else TrainConfig()
+    config = TrainConfig()
+    if args.config:
+        try:
+            text = Path(args.config).read_text()
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"config {args.config} is not UTF-8 text") from None
+        config = TrainConfig.from_text(text)
     spec = _model_spec(args, train_data)
     if args.resume:
         model, optimizer, start_epoch = checkpoint_load(args.resume)
@@ -193,13 +198,13 @@ def _grad_check_suite(rng: np.random.Generator):
     return suite
 
 
-def run_grad_check_suite(module: str | None = None, eps: float = 1e-5):
+def run_grad_check_suite(module: str | None = None):
     """Yields (name, max_relative_error) for each requested layer type."""
     rng = np.random.default_rng(42)
     for name, fn, inputs in _grad_check_suite(rng):
         if module is not None and module != name:
             continue
-        yield name, grad_check(fn, inputs, eps=eps)
+        yield name, grad_check(fn, inputs)
 
 
 def cmd_grad_check(args) -> int:
@@ -266,14 +271,11 @@ def cmd_recon_demo(args) -> int:
     return 0
 
 
-def _add_model_args(parser, with_depth=True):
+def _add_model_args(parser):
     parser.add_argument("--variant", required=True, choices=VARIANTS)
-    if with_depth:
-        parser.add_argument("--depth", type=int, default=26,
-                            choices=sorted(DEPTH_MULTIPLIERS))
+    parser.add_argument("--depth", type=int, default=26, choices=sorted(DEPTH_MULTIPLIERS))
     parser.add_argument("--width-scale", type=float, default=None)
     parser.add_argument("--heads", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model, writing history and checkpoints")
     _add_model_args(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
@@ -310,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="forward latency and attention MAC counts")
     _add_model_args(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--repeat", type=int, default=5)
     p.add_argument("--size", type=int, default=None)
@@ -337,10 +341,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except QaxialError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QaxialError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,9 +40,9 @@ class Dataset:
     def __len__(self):
         return len(self.labels)
 
-    def subset(self, indices, split: str | None = None) -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         return Dataset(self.images[indices], self.labels[indices],
-                       self.class_count, split or self.split)
+                       self.class_count, self.split)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,8 @@ def write_per_class_manifest(root_dir, per_class: int = 300, manifest_path=None)
     every class directory; short classes contribute all files and get a
     ``#``-prefixed warning line.  Returns the manifest path.
     """
+    if per_class < 1:
+        raise ConfigurationError(f"per_class must be >= 1, got {per_class}")
     root = Path(root_dir)
     classes = sorted(p for p in root.iterdir() if p.is_dir()) if root.is_dir() else []
     if not classes:
@@ -210,25 +212,19 @@ def synthetic_classification_dataset(classes: int, per_class: int, size: int,
 # augmentation
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AugmentationPolicy:
-    """Training-split augmentation; the eval path never applies any of it."""
-
-    crop_padding: int = 4
-    flip_probability: float = 0.5
+    """Training-split augmentation: each image is cropped back to its size at
+    a random offset into a copy zero-padded by 4 px on every side, then
+    flipped left-right with probability 1/2.  The eval path never applies
+    any of it."""
 
     def __call__(self, images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n, _, h, w = images.shape
-        pad = self.crop_padding
-        out = images
-        if pad:
-            padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
-            out = np.empty_like(images)
-            for i, (oy, ox) in enumerate(offs):
-                out[i] = padded[i, :, oy:oy + h, ox:ox + w]
-        if self.flip_probability:
-            flips = rng.random(n) < self.flip_probability
-            out = out.copy() if out is images else out
-            out[flips] = out[flips, :, :, ::-1]
+        padded = np.pad(images, ((0, 0), (0, 0), (4, 4), (4, 4)))
+        offs = rng.integers(0, 9, size=(n, 2))
+        out = np.empty_like(images)
+        for i, (oy, ox) in enumerate(offs):
+            out[i] = padded[i, :, oy:oy + h, ox:ox + w]
+        flips = rng.random(n) < 0.5
+        out[flips] = out[flips, :, :, ::-1]
         return out

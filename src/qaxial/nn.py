@@ -26,8 +26,8 @@ class Parameter(Tensor):
 
     __slots__ = ("kind",)
 
-    def __init__(self, data, kind: str = "weight", dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, data, kind: str = "weight"):
+        super().__init__(data, requires_grad=True)
         self.kind = kind
 
 
@@ -72,13 +72,13 @@ class Module:
             sub = f"{prefix}.{name}" if prefix else name
             yield from child.named_modules(sub)
 
-    def named_parameters(self, prefix: str = ""):
-        for name, mod in self.named_modules(prefix):
+    def named_parameters(self):
+        for name, mod in self.named_modules():
             for pname, p in mod._params.items():
                 yield (f"{name}.{pname}" if name else pname), p
 
-    def named_buffers(self, prefix: str = ""):
-        for name, mod in self.named_modules(prefix):
+    def named_buffers(self):
+        for name, mod in self.named_modules():
             for bname, b in mod._buffers.items():
                 yield (f"{name}.{bname}" if name else bname), b
 
@@ -113,11 +113,6 @@ class Module:
 
 
 class ModuleList(Module):
-    def __init__(self, modules=()):
-        super().__init__()
-        for m in modules:
-            self.append(m)
-
     def append(self, module: Module):
         setattr(self, str(len(self._children)), module)
 
@@ -136,9 +131,9 @@ class _ZeroDraws:
     uniform = rayleigh = normal
 
 
-def _he_normal(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32):
+def _he_normal(rng: np.random.Generator, shape, fan_in: int):
     std = math.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape).astype(dtype)
+    return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
 class Conv2d(Module):

@@ -62,8 +62,11 @@ class TrainConfig:
         for key in ("base_lr", "decay_factor", "momentum", "weight_decay"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigurationError(f"'{key}' must be finite, got {getattr(self, key)}")
-        if min((self.base_lr, self.decay_factor)) <= 0 or self.momentum < 0:
+        if min((self.base_lr, self.decay_factor)) <= 0:
             raise ConfigurationError("rates must be positive")
+        for key in ("momentum", "weight_decay"):
+            if getattr(self, key) < 0:
+                raise ConfigurationError(f"'{key}' must be >= 0, got {getattr(self, key)}")
         if any(a >= b for a, b in zip(self.decay_epochs, self.decay_epochs[1:])):
             raise ConfigurationError(
                 f"'decay_epochs' must be strictly increasing, got {self.decay_epochs}")
@@ -191,9 +194,9 @@ def _batches(count: int, batch_size: int, rng: np.random.Generator | None):
         yield order[start:start + batch_size]
 
 
-def evaluate(model: Model, data, batch_size: int = 64) -> float:
-    """Top-1 accuracy with eval-mode batch norm; deterministic.  Non-finite
-    logits raise :class:`NumericsError`."""
+def evaluate(model: Model, data) -> float:
+    """Top-1 accuracy with eval-mode batch norm, in batches of 64;
+    deterministic.  Non-finite logits raise :class:`NumericsError`."""
     if len(data.labels) == 0:
         raise ContractError("evaluate needs a non-empty dataset")
     was_training = model.training
@@ -201,7 +204,7 @@ def evaluate(model: Model, data, batch_size: int = 64) -> float:
     hits = 0
     try:
         with ad.no_grad():
-            for idx in _batches(len(data.labels), batch_size, rng=None):
+            for idx in _batches(len(data.labels), 64, rng=None):
                 logits = model(Tensor(data.images[idx]))
                 if not np.isfinite(logits.data).all():
                     raise NumericsError(
@@ -232,9 +235,12 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         history_path = out_dir / "history.csv"
-        # rows from start_epoch on are replayed, so they are not kept
-        kept = [r for r in TrainHistory.from_csv(history_path.read_text()).records
-                if r.epoch < start_epoch] if start_epoch and history_path.exists() else []
+        kept = []
+        if start_epoch and history_path.exists():
+            # rows from start_epoch on are replayed, so they are not kept; a
+            # byte that is not UTF-8 decodes to U+FFFD, which from_csv refuses
+            text = history_path.read_text(errors="replace")
+            kept = [r for r in TrainHistory.from_csv(text).records if r.epoch < start_epoch]
     n = len(train_data.labels)
     model.train()
     for epoch in range(start_epoch, config.epochs):

@@ -235,7 +235,8 @@ class Model(Module):
     """A built architecture: ordered layers plus its spec metadata.
 
     ``seed=None`` allocates every array as zeros and draws nothing, for a
-    caller that overwrites all values next (``checkpoint_load``).
+    caller that overwrites all values next (``checkpoint_load``) or reads
+    only shapes (``qaxial count-params``).
     """
 
     def __init__(self, spec: ArchitectureSpec, seed: int | None = 0):
@@ -292,7 +293,7 @@ class Model(Module):
         return self.classifier(self.pool(x))
 
 
-def build(spec: ArchitectureSpec, seed: int = 0) -> Model:
+def build(spec: ArchitectureSpec, seed: int | None = 0) -> Model:
     return Model(spec, seed=seed)
 
 

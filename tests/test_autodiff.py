@@ -180,18 +180,20 @@ class TestBatchNorm:
         gamma, beta = rng.normal(size=3), rng.normal(size=3)
         rm, rv = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
         out = ad.batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta),
-                              rm.copy(), rv.copy(), training=False, epsilon=1e-5)
+                              rm.copy(), rv.copy(), training=False)
         want = gamma[None, :, None, None] * (x - rm[None, :, None, None]) \
             / np.sqrt(rv[None, :, None, None] + 1e-5) + beta[None, :, None, None]
         npt.assert_allclose(out.data, want, rtol=1e-6)
 
     def test_running_stats_updated(self):
+        # momentum 0.1 from the fresh buffers; the variance is unbiased
         rng = np.random.default_rng(5)
         x = rng.normal(1.0, 2.0, size=(8, 2, 5, 5))
         rm, rv = np.zeros(2), np.ones(2)
         ad.batch_norm2d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                        rm, rv, training=True, momentum=1.0)
-        npt.assert_allclose(rm, x.mean(axis=(0, 2, 3)), rtol=1e-6)
+                        rm, rv, training=True)
+        npt.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
+        npt.assert_allclose(rv, 0.9 + 0.1 * x.var(axis=(0, 2, 3), ddof=1), rtol=1e-12)
 
     def test_degenerate_batch_raises(self):
         with pytest.raises(DegenerateBatchError):

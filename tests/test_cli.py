@@ -56,6 +56,10 @@ class TestUsageErrors:
         assert code == 1
         assert "'width_scale'" in capsys.readouterr().err
 
+    def test_count_params_takes_no_seed(self, capsys):
+        # it builds without drawing values, so a seed could not change its output
+        assert main(["count-params", "--variant", "resnet", "--seed", "1"]) == 2
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -91,6 +95,32 @@ class TestBadInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'epochs'" in err
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_bytes(b"\xff\xfeepochs = 1\n")
+        code = main(["train", "--variant", "resnet", "--data", SMOKE_DATA,
+                     "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(config) in err and "UTF-8" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_with_non_utf8_history_exits_1(self, tmp_path, capsys):
+        model = build(spec_for("resnet", 26, num_classes=2, input_size=(3, 32, 32)), seed=0)
+        checkpoint = tmp_path / "epoch_1.qx"
+        checkpoint_save(checkpoint, model, SGDMomentum(model.named_parameters()), 1)
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        (out_dir / "history.csv").write_bytes(
+            TrainHistory.CSV_HEADER.encode() + b"\n0,0.01,1.0\xff,0.5,0.5,1.0\n")
+        code = main(["train", "--variant", "resnet", "--resume", str(checkpoint),
+                     "--data", "synthetic://classes=2,per_class=2,size=32,seed=0",
+                     "--config", str(smoke_config(tmp_path)), "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "malformed history CSV" in err
+        assert [p.name for p in out_dir.iterdir()] == ["history.csv"]  # nothing trained
 
     def test_resume_with_other_class_count_exits_1(self, tmp_path, capsys):
         spec = spec_for("resnet", 26, num_classes=2, input_size=(3, 32, 32))
@@ -250,6 +280,16 @@ class TestSubsampleCommand:
                      "--per-class", "2"]) == 0
         out = capsys.readouterr().out
         assert "4 files" in out
+
+    @pytest.mark.parametrize("per_class", ["0", "-1"])
+    def test_per_class_below_one_exits_1(self, tmp_path, capsys, per_class):
+        (tmp_path / "tree" / "a").mkdir(parents=True)
+        (tmp_path / "tree" / "a" / "0.ppm").write_bytes(b"")
+        assert main(["subsample", "--root", str(tmp_path / "tree"),
+                     "--per-class", per_class]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "per_class" in err
+        assert not (tmp_path / "tree" / "manifest.txt").exists()
 
     def test_empty_root_fails(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

@@ -28,12 +28,6 @@ class TestParameterMatch:
         real = RealColorizer(16, rng)
         assert quat.param_count() == real.param_count()
 
-    def test_mismatched_budgets_rejected(self):
-        data = synthetic_classification_dataset(2, 10, 8, seed=0)
-        with pytest.raises(ConfigurationError):
-            color_reconstruction_experiment(data, epochs=1, width_quats=8,
-                                            real_width=24)
-
     def test_too_few_images_rejected(self):
         data = synthetic_classification_dataset(2, 2, 8, seed=0)
         with pytest.raises(ConfigurationError):

@@ -198,6 +198,7 @@ class TestSchedule:
 
     @pytest.mark.parametrize("line", ["base_lr = nan", "base_lr = inf", "decay_factor = nan",
                                       "momentum = inf", "weight_decay = nan",
+                                      "momentum = -1", "weight_decay = -5",
                                       "decay_epochs = 50,20", "decay_epochs = 20,20"])
     def test_config_text_out_of_range_value_names_key(self, line):
         with pytest.raises(ConfigurationError, match=f"'{line.split()[0]}'"):
@@ -406,11 +407,11 @@ class TestEvaluate:
             def forward(self, x):
                 return Tensor(x.data.reshape(x.shape[0], -1)[:, :2].copy())
 
-        images = np.zeros((10, 1, 1, 2), dtype=np.float32)
-        images[6, 0, 0, 1] = np.inf
-        data = Dataset(images, np.arange(10) % 2, 2)
-        with pytest.raises(NumericsError, match="from sample 4$"):
-            evaluate(PixelLogits(), data, batch_size=4)
+        images = np.zeros((100, 1, 1, 2), dtype=np.float32)
+        images[70, 0, 0, 1] = np.inf
+        data = Dataset(images, np.arange(100) % 2, 2)
+        with pytest.raises(NumericsError, match="from sample 64$"):  # batches of 64
+            evaluate(PixelLogits(), data)
 
 
 class TestCheckpoint:
