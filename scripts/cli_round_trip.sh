@@ -2,12 +2,13 @@
 # CLI round trip on a tiny synthetic dataset, for quat_axial (width 0.25) and
 # quat_resnet: train one epoch, resume to epoch 2 from its checkpoint,
 # evaluate the result.  Each command must exit 0, and history.csv must then
-# list epochs 0 and 1.  Then four misuses must be refused (exit 1, "error:"
+# list epochs 0 and 1.  Then six misuses must be refused (exit 1, "error:"
 # and no "Traceback" on stderr): eval of the quat_resnet checkpoint on a
 # dataset with another class count; a resume from it whose flags name another
-# architecture, which must also leave no --out directory behind; train with a
-# --config file that is not UTF-8; and subsample --per-class 0, which must
-# write no manifest.
+# architecture, which must also leave no --out directory behind; a resume
+# whose config has no epoch left to train, which must leave history.csv as it
+# was; train with a --config file that is not UTF-8; subsample --per-class 0,
+# which must write no manifest; and recon-demo --epochs 0.
 # Run from the repository root: bash scripts/cli_round_trip.sh
 set -euo pipefail
 
@@ -42,9 +43,14 @@ refused eval --checkpoint "$checkpoint" --data synthetic://classes=5,per_class=5
 refused train --variant quat_axial --depth 50 --width-scale 0.25 --heads 2 --data "$data" \
     --config "$work/one.cfg" --out "$work/refused" --resume "$checkpoint"
 test ! -e "$work/refused"
+cp "$work/quat_resnet/history.csv" "$work/history.before"
+refused train --variant quat_resnet --data "$data" --config "$work/two.cfg" \
+    --out "$work/quat_resnet" --resume "$checkpoint"
+cmp "$work/history.before" "$work/quat_resnet/history.csv"
 printf '\xff\xfeepochs = 1\n' > "$work/bad.cfg"
 refused train --variant quat_resnet --data "$data" --config "$work/bad.cfg" --out "$work/bad"
 mkdir -p "$work/tree/a"
 touch "$work/tree/a/0.ppm"
 refused subsample --root "$work/tree" --per-class 0
 test ! -e "$work/tree/manifest.txt"
+refused recon-demo --data synthetic://classes=2,per_class=5,size=8,seed=0 --epochs 0

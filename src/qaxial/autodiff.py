@@ -766,45 +766,64 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     Train mode normalizes by batch statistics and updates the running
     buffers in place (new = 0.9*old + 0.1*batch, the variance unbiased);
     eval mode applies the running statistics as a fixed affine transform.
+
+    The forward keeps two [N,C,H,W] buffers: ``x - mean``, scaled in place
+    into the normalized input the backward reads, and one that holds the
+    squared deviations for the variance and then the output.  The mean and
+    variance round as numpy's ``mean`` and ``var`` do, which compute them
+    the same way, and the backward reuses its input-gradient buffer.
     """
     if x.ndim != 4:
         raise ShapeError("batch_norm2d expects 4-D input")
+    gamma, beta = _coerce(gamma, x), _coerce(beta, x)
     n, c, h, w = x.shape
     axes = (0, 2, 3)
     m = n * h * w
     if training:
         if m < 2:
             raise DegenerateBatchError(f"batch norm needs N*H*W >= 2, got {m}")
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = np.add.reduce(x.data, axes, keepdims=True)
+        np.true_divide(mean, np.intp(m), out=mean, casting="unsafe")
+        xhat = np.subtract(x.data, mean)
+        out = np.square(xhat)
+        var = np.add.reduce(out, axes, keepdims=True)
+        np.true_divide(var, np.intp(m), out=var, casting="unsafe")
         running_mean *= 0.9
-        running_mean += 0.1 * mean
+        running_mean += 0.1 * mean.reshape(c)
         running_var *= 0.9
-        running_var += 0.1 * var * (m / (m - 1))  # unbiased for the buffer
+        running_var += 0.1 * var.reshape(c) * (m / (m - 1))  # unbiased for the buffer
     else:
-        mean = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype)
+        xhat = np.subtract(x.data, running_mean.astype(x.dtype).reshape(1, c, 1, 1))
+        out = np.empty_like(xhat)
+        var = running_var.astype(x.dtype).reshape(1, c, 1, 1)
 
     inv_std = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat *= inv_std
+    gamma_b = gamma.data.reshape(1, c, 1, 1)
+    np.multiply(gamma_b, xhat, out=out)
+    out += beta.data.reshape(1, c, 1, 1)
 
     def backward(g):
+        t = np.multiply(g, xhat)
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=axes))
+            gamma._accumulate(t.sum(axis=axes))
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=axes))
         if x.requires_grad:
-            gx = g * gamma.data[None, :, None, None]
+            gx = np.multiply(g, gamma_b)
             if training:
-                ivs = inv_std[None, :, None, None]
+                # ivs / m * (m * gx - sum_gx - xhat * sum_gx_xhat), operand for operand
                 sum_gx = gx.sum(axis=axes, keepdims=True)
-                sum_gx_xhat = (gx * xhat).sum(axis=axes, keepdims=True)
-                x._accumulate(ivs / m * (m * gx - sum_gx - xhat * sum_gx_xhat))
+                sum_gx_xhat = np.multiply(gx, xhat, out=t).sum(axis=axes, keepdims=True)
+                gx *= m
+                gx -= sum_gx
+                gx -= np.multiply(xhat, sum_gx_xhat, out=t)
+                gx *= inv_std / m
             else:
-                x._accumulate(gx * inv_std[None, :, None, None])
+                gx *= inv_std
+            x._accumulate(gx)
 
-    return _result(out.astype(x.dtype, copy=False), (x, gamma, beta), backward, "batch_norm2d")
+    return _result(out, (x, gamma, beta), backward, "batch_norm2d")
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -114,6 +114,10 @@ def cmd_train(args) -> int:
             raise ConfigurationError(
                 f"checkpoint {args.resume} holds {_describe(model.spec)}, but the flags "
                 f"and {args.data} give {_describe(spec)}: '{key}' differs")
+        if config.epochs <= start_epoch:
+            raise ConfigurationError(
+                f"checkpoint {args.resume} has trained {start_epoch} epochs and the "
+                f"config asks for {config.epochs}: nothing is left to train")
     else:
         model = build(spec, seed=args.seed)
         optimizer, start_epoch = None, 0
@@ -260,6 +264,8 @@ def cmd_subsample(args) -> int:
 
 
 def cmd_recon_demo(args) -> int:
+    if args.epochs < 1:
+        raise ConfigurationError(f"--epochs must be >= 1, got {args.epochs}")
     data, _ = load_dataset(args.data)
     quat_mse, real_mse = color_reconstruction_experiment(
         data, epochs=args.epochs, seed=args.seed)

@@ -107,10 +107,15 @@ def sgd_momentum_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
         raise ContractError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, "
             f"velocity {velocity.shape}")
-    g = grad + weight_decay * param if weight_decay else grad
+    s = np.empty_like(param)  # one scratch array for every product
     velocity *= momentum
-    velocity += g
-    param -= lr * velocity
+    if weight_decay:
+        np.multiply(weight_decay, param, out=s)
+        s += grad
+        velocity += s
+    else:
+        velocity += grad
+    param -= np.multiply(lr, velocity, out=s)
 
 
 class SGDMomentum:

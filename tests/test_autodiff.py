@@ -123,6 +123,10 @@ class TestConv2d:
          "287a57c53905b81b8729c4c495b8ad89caa880f997005c4212a6c53e04669e78"),
         (np.float32, 3, 3, 2, 1,
          "247c35ffc6e0f3fc2e833fe04cace7de7a032d592f1f98ad84c9df60ef7493a5"),
+        (np.float32, 3, 7, 2, 3,  # the axial stem's geometry
+         "1851a18bc73e72d4ae06c2c2b275333fac5f8c296fe5ad8394472b63875e2098"),
+        (np.float32, 3, 1, 2, 0,  # the strided 1x1 shortcut's
+         "11786c846ab794216599459f3231dd27289d5ae147d47a20bfcd2e679db8e3dd"),
         (np.float64, 1, 1, 1, 0,
          "b3af90c8e80c31ba8d7bdce085beccd4b2f6d772ac94e0b07f699ca6bb1a522a"),
         (np.float64, 1, 3, 2, 1,
@@ -195,6 +199,12 @@ class TestBatchNorm:
         npt.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
         npt.assert_allclose(rv, 0.9 + 0.1 * x.var(axis=(0, 2, 3), ddof=1), rtol=1e-12)
 
+    def test_affine_parameters_of_another_dtype_raise(self):
+        x = Tensor(np.zeros((2, 3, 2, 2), dtype=np.float32))
+        with pytest.raises(ContractError, match="dtype mismatch"):
+            ad.batch_norm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3, dtype=np.float32)),
+                            np.zeros(3), np.ones(3), training=True)
+
     def test_degenerate_batch_raises(self):
         with pytest.raises(DegenerateBatchError):
             ad.batch_norm2d(Tensor(np.zeros((1, 3, 1, 1))), Tensor(np.ones(3)),
@@ -212,6 +222,34 @@ class TestBatchNorm:
             err = grad_check(f, [rand((3, 4, 5, 5), 7), rand((4,), 8, scale=0.5),
                                  rand((4,), 9)])
             assert err < 1e-6, f"training={training}"
+
+    # sha256 of the float32 output, the input, gamma and beta gradients and
+    # the running buffers, taken when the forward made a temporary per step
+    @pytest.mark.parametrize("training,shape,digest", [
+        (True, (10, 128, 8, 8),
+         "c7437784037a5fab7b92b56635b37822ea2f8f0a1c6701e04cf8093bbc8fcdee"),
+        (True, (1, 32, 112, 112),
+         "a01c06dfe633007bf16c8df43941790e487a6ba3e1b695cdc865cb4ad87bd1b6"),
+        (False, (10, 128, 8, 8),
+         "2dacfedc25fb91ebf2cfaec0b6abe17cad4570c51323e60054ccc880b18be675"),
+        (False, (1, 32, 112, 112),
+         "064c4541536966299fefa39f22314d23a64b1288479ba313c60a9125f9874029"),
+    ])
+    def test_outputs_and_gradients_are_pinned(self, training, shape, digest):
+        c = shape[1]
+        rng = np.random.default_rng(50)
+        x = Tensor(rng.normal(0.5, 2.0, size=shape).astype(np.float32), requires_grad=True)
+        gamma = Tensor(rng.normal(1.0, 0.3, size=c).astype(np.float32), requires_grad=True)
+        beta = Tensor(rng.normal(0.0, 0.3, size=c).astype(np.float32), requires_grad=True)
+        rm = rng.normal(size=c).astype(np.float32)
+        rv = rng.uniform(0.5, 2.0, size=c).astype(np.float32)
+        out = ad.batch_norm2d(x, gamma, beta, rm, rv, training)
+        proj = np.cos(np.arange(out.size)).reshape(out.shape).astype(np.float32)
+        backward((out * Tensor(proj)).sum())
+        h = hashlib.sha256()
+        for a in (out.data, x.grad, gamma.grad, beta.grad, rm, rv):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestElementwiseAndReductions:

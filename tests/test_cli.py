@@ -149,6 +149,21 @@ class TestBadInputs:
         assert err.startswith("error:") and "'variant' differs" in err
         assert not out_dir.exists()  # rejected before any training
 
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_resume_with_nothing_left_to_train_exits_1(self, tmp_path, capsys, epochs):
+        model = build(spec_for("resnet", 26, num_classes=2, input_size=(3, 32, 32)), seed=0)
+        checkpoint = tmp_path / "epoch_2.qx"
+        checkpoint_save(checkpoint, model, SGDMomentum(model.named_parameters()), 2)
+        out_dir = tmp_path / "run"
+        code = main(["train", "--variant", "resnet", "--resume", str(checkpoint),
+                     "--data", "synthetic://classes=2,per_class=2,size=32,seed=0",
+                     "--config", str(smoke_config(tmp_path, epochs)), "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "trained 2 epochs" in err
+        assert f"asks for {epochs}" in err
+        assert not out_dir.exists()  # rejected before any training
+
     def test_eval_on_other_class_count_exits_1(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(two_class_resnet_checkpoint(tmp_path)),
                      "--data", "synthetic://classes=5,per_class=5"])
@@ -303,6 +318,15 @@ class TestReconDemo:
                      "--epochs", "1"]) == 0
         out = capsys.readouterr().out
         assert "quaternion test MSE" in out and "real test MSE" in out
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_epochs_below_one_exits_1(self, capsys, epochs):
+        code = main(["recon-demo", "--data",
+                     "synthetic://classes=4,per_class=10,size=8,seed=0", "--epochs", epochs])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--epochs" in captured.err
+        assert captured.out == ""  # no MSE and no verdict from an untrained pair
 
 
 class TestCifarViaCli:

@@ -249,6 +249,23 @@ class TestSgdStep:
         with pytest.raises(ContractError):
             sgd_momentum_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9, 0.0)
 
+    # sha256 of the parameters and velocities after two float32 steps, taken
+    # when the update built weight_decay*param, grad + ... and lr*velocity as
+    # three new arrays
+    @pytest.mark.parametrize("weight_decay,digest", [
+        (0.0, "ef173ba93dabb64b8488b935ffe718a5546abdcf933c2630532511c356542c7e"),
+        (1e-4, "f9aef2d837af818d700af252faabc4f551721cf3ded9e5ee2210049f6f32fd6a"),
+    ])
+    def test_update_is_pinned(self, weight_decay, digest):
+        rng = np.random.default_rng(60)
+        p, g, v = (rng.normal(size=(64, 33)).astype(np.float32) for _ in range(3))
+        for lr in (0.1, 0.03):
+            sgd_momentum_step(p, g, v, lr=lr, momentum=0.9, weight_decay=weight_decay)
+        h = hashlib.sha256()
+        for a in (p, v):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
     def test_bn_params_excluded_unless_flagged(self):
         gamma = Parameter(np.ones(3), kind="bn")
         gamma.grad = np.zeros(3)
