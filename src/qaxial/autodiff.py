@@ -770,8 +770,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     The forward keeps two [N,C,H,W] buffers: ``x - mean``, scaled in place
     into the normalized input the backward reads, and one that holds the
     squared deviations for the variance and then the output.  The mean and
-    variance round as numpy's ``mean`` and ``var`` do, which compute them
-    the same way, and the backward reuses its input-gradient buffer.
+    variance are computed as numpy's ``mean`` and ``var`` compute them, so
+    they round the same way.  The backward reuses its input-gradient buffer.
     """
     if x.ndim != 4:
         raise ShapeError("batch_norm2d expects 4-D input")

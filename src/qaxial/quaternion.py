@@ -9,16 +9,18 @@ the four components of w in a fixed sign pattern, the sign table
 ``_EXPANSION``, so a quaternion convolution is exactly a real convolution
 with a structured weight tensor: each (output-group, input-group) block of
 the expanded weight holds only four independent values.
-:class:`QuaternionConv2d` never builds that weight.  It calls the same op as
-a real convolution, :func:`~qaxial.autodiff.conv2d`, with ``_EXPANSION`` as
-its sign table; the op applies the signs to the im2col columns of its input
-instead, so one GEMM against the layer's one weight tensor gives the output,
-and its gradient comes out of one GEMM too.  Each layer stores its kernel as
-one ``weight`` with the four components stacked on axis 1:
+:class:`QuaternionConv2d` runs its GEMM against whichever side makes the
+smaller 4x copy.  With ``N*Ho*Wo`` output pixels and ``q_out`` output
+quaternions, it builds that weight (``expanded_weight``) and runs the real
+convolution on it when ``N*Ho*Wo >= q_out``.  Otherwise it calls the same op,
+:func:`~qaxial.autodiff.conv2d`, with ``_EXPANSION`` as its sign table, and
+the op applies the signs to the im2col columns of its input instead, so one
+GEMM against the layer's one weight tensor gives the output.  Either way the
+output and the weight gradient come out of one GEMM each.  Each layer stores
+its kernel as one ``weight`` with the four components stacked on axis 1:
 [q_out, 4, q_in, kh, kw] for the conv, [channels/4, 4] for the bank.
-``expanded_weight`` still builds the real weight, as the reference the tests
-compare against.  :class:`QuaternionBank1x1` builds its 4x4 matrices with
-:func:`~qaxial.autodiff.signed_blocks` from the same table; each shared
+``expanded_weight`` and :class:`QuaternionBank1x1`'s 4x4 matrices are built
+by :func:`~qaxial.autodiff.signed_blocks` from the same table; each shared
 component's gradient is the signed sum of the gradients over its four
 placements.
 """
@@ -140,12 +142,18 @@ class QuaternionConv2d(Module):
         self.weight = Parameter(np.moveaxis(comps, 0, 1).astype(np.float32, order="C"))
 
     def expanded_weight(self) -> Tensor:
-        """[4*q_out, 4*q_in, kh, kw] real weight built from the four components."""
+        """[4*q_out, 4*q_in, kh, kw] real weight built from the four components;
+        the forward convolves with it when that is the smaller 4x copy."""
         blocks = ad.signed_blocks(self.weight, _EXPANSION, axes=(1, 3))
         return ad.reshape(blocks, (self.out_channels, self.in_channels,
                                    self.kernel_size, self.kernel_size))
 
     def forward(self, x):
+        n, _, h, w = x.shape
+        ho, wo = ad._conv_geometry(h, w, self.kernel_size, self.kernel_size,
+                                   self.stride, self.padding)
+        if n * ho * wo >= self.q_out:  # the expanded weight is the smaller 4x copy
+            return ad.conv2d(x, self.expanded_weight(), None, self.stride, self.padding)
         return ad.conv2d(x, self.weight, None, self.stride, self.padding, _EXPANSION)
 
 

@@ -8,6 +8,7 @@ from qaxial.autodiff import Tensor, backward, conv2d, grad_check
 from qaxial.errors import ConfigurationError, ContractError, ShapeError
 from qaxial.nn import Parameter
 from qaxial.quaternion import (
+    _EXPANSION,
     IDENTITY,
     Quaternion,
     QuaternionBank1x1,
@@ -157,7 +158,10 @@ class TestQuaternionConv2d:
         layer = QuaternionConv2d(8, 12, k, stride, padding, rng=rng).to_dtype(np.float64)
         x = rng.normal(size=(3, 8, 5, 6))
         results = []
-        for run in (layer, lambda t: conv2d(t, layer.expanded_weight(), None, stride, padding)):
+        # the layer itself takes the expanded-weight side at N*Ho*Wo >= q_out,
+        # so the signed-column side is called explicitly
+        for run in (lambda t: conv2d(t, layer.weight, None, stride, padding, _EXPANSION),
+                    lambda t: conv2d(t, layer.expanded_weight(), None, stride, padding)):
             xt = Tensor(x, requires_grad=True)
             out = run(xt)
             backward((out * Tensor(np.cos(np.arange(out.size)).reshape(out.shape))).sum())
@@ -166,11 +170,14 @@ class TestQuaternionConv2d:
         for got, want in zip(*results):
             npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
-    # sha256 of the output and the input and weight gradients in float32,
-    # taken when the quaternion conv was its own op beside conv2d
+    # sha256 of the output and the input and weight gradients in float32.
+    # The first two have N*Ho*Wo >= q_out = 3 and run on the expanded weight;
+    # the last (N*Ho*Wo = 2) runs on the signed columns, and its digest was
+    # taken when every quaternion conv did
     @pytest.mark.parametrize("n,k,stride,padding,digest", [
-        (1, 1, 1, 0, "9f7ec7e12740b71e840d4c3f303d4876bc8def595ce18e6005c67190bcb242ac"),
-        (3, 3, 2, 1, "82eb74648f1c78ac18e4bac15596ba2f4aa1462c750773c06c086b0c1b739f2e"),
+        (1, 1, 1, 0, "cb26f7e23836c6e7b4e08f7450ece5f722ad03c8257b8f3bb04cc4d361995e99"),
+        (3, 3, 2, 1, "3155c844255524554c37ff32e9192befe162b592edd9a5fa4f35faedc800aabe"),
+        (1, 3, 4, 0, "27db65630d5720b7dfd99456f80bfdad169936135e33af750a53906932c348f9"),
     ])
     def test_forward_and_backward_are_pinned(self, n, k, stride, padding, digest):
         layer = QuaternionConv2d(8, 12, k, stride, padding, rng=np.random.default_rng(31))
@@ -254,6 +261,13 @@ def _tape_ops(out):
     return ops
 
 
+def _closure_sizes(out):
+    """Sizes of ``out`` and of the arrays its backward closure holds."""
+    cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
+    arrays = [out.data] + [getattr(v, "data", v) for v in cells]
+    return {a.size for a in arrays if isinstance(a, np.ndarray)}
+
+
 class TestExpansionTape:
     def test_conv_weight_is_one_expansion_and_a_reshape(self):
         ops = _tape_ops(QuaternionConv2d(8, 12, 3).expanded_weight())
@@ -266,14 +280,23 @@ class TestExpansionTape:
         assert not {"neg", "stack"} & set(ops)
 
     def test_conv_forward_is_one_op_and_builds_no_real_weight(self):
+        # N*Ho*Wo = 2 < q_out = 3: the signed columns are the smaller 4x copy
         layer = QuaternionConv2d(8, 12, 3, padding=1)
-        out = layer(Tensor(np.ones((2, 8, 4, 4), dtype=np.float32)))
+        out = layer(Tensor(np.ones((1, 8, 1, 2), dtype=np.float32)))
         assert _tape_ops(out) == ["conv2d"]  # the real conv's op, under the Hamilton table
         expanded = 16 * layer.q_out * layer.q_in * 3 * 3
-        cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
-        arrays = [out.data] + [getattr(v, "data", v) for v in cells]
-        sizes = {a.size for a in arrays if isinstance(a, np.ndarray)}
-        assert expanded not in sizes
+        assert expanded not in _closure_sizes(out)
+
+    def test_conv_forward_at_threshold_expands_the_weight_not_the_columns(self):
+        # N*Ho*Wo >= q_out = 3: the expanded weight is the smaller 4x copy.  At
+        # N*Ho*Wo = 3 the two copies are the same size, and the weight is built
+        layer = QuaternionConv2d(8, 12, 3, padding=1)
+        at = layer(Tensor(np.ones((1, 8, 1, 3), dtype=np.float32)))
+        assert _tape_ops(at) == ["conv2d", "reshape", "signed_blocks"]
+        above = layer(Tensor(np.ones((2, 8, 4, 4), dtype=np.float32)))
+        assert _tape_ops(above) == ["conv2d", "reshape", "signed_blocks"]
+        signed_columns = 4 * layer.in_channels * 3 * 3 * 2 * 4 * 4
+        assert signed_columns not in _closure_sizes(above)
 
 
 class TestQuaternionInit:

@@ -316,9 +316,9 @@ class TestSummarize:
 
     # one forward and backward of quat_resnet (1,1,1,1) at seed 2 on a fixed
     # batch of 4: the loss bits and sha256 over every gradient (name, then
-    # bytes).  Taken when each quaternion layer still held four component
-    # tensors, with their gradients stacked on axis 1 as <layer>.weight; the
-    # bits depend on the BLAS build, as criterion 9's do
+    # bytes).  Taken when each quaternion conv picked its GEMM side by
+    # N*Ho*Wo against q_out; the bits depend on the BLAS build, as
+    # criterion 9's do
     def test_quat_resnet_step_is_pinned(self):
         model = build(small_spec("quat_resnet"), seed=2)
         x = np.random.default_rng(4).normal(size=(4, 3, 32, 32)).astype(np.float32)
@@ -328,9 +328,9 @@ class TestSummarize:
         for name, p in model.named_parameters():
             h.update(name.encode())
             h.update(p.grad.tobytes())
-        assert float(loss.data).hex() == "0x1.5ce6620000000p+1"
+        assert float(loss.data).hex() == "0x1.5ce66a0000000p+1"
         assert h.hexdigest() == \
-            "1206042c183d56663ea05639e781f3ccc089ec4517c4c267f9842a9b3f010b07"
+            "cc4cc9c02797b465379028547910039ae486ab6d2c4b08864075c0ecd7f90b14"
 
     def test_deterministic_build(self):
         a = build(small_spec("axial"), seed=7)
