@@ -568,15 +568,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _result(out, parents, backward, "conv2d")
 
 
+def relative_index(span: int) -> np.ndarray:
+    """Entry ``o*L + p`` is ``p - o + L - 1``: the table row of query o, key p."""
+    pos = np.arange(span)
+    return (pos[None, :] - pos[:, None] + span - 1).reshape(-1)
+
+
 def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,
-                    r_v: Tensor, rel_index) -> Tensor:
+                    r_v: Tensor, heads: int) -> Tensor:
     """Multi-head 1-D attention with relative positions, as one tape node.
 
-    ``q``, ``k`` and ``v`` are [N, dim, L] (N = batch * heads), the layout of
-    a head-split projection, and so is the result.  ``r_q``, ``r_k`` and
-    ``r_v`` are [2L-1, dim] tables gathered through ``rel_index`` [L*L]
-    (entry ``o*L + p`` names the row for query o and key p).  With
-    ``rq = r_q[rel_index]`` as [L, L, dim] and ``w = softmax(logits)`` over p::
+    ``q``, ``k`` and ``v`` are [B, heads*dim, L] projections, viewed inside
+    as [N, dim, L] with N = B * heads; the result is [B, heads*dim, L] too.
+    ``r_q``, ``r_k`` and ``r_v`` are [2L-1, dim] tables, gathered through
+    ``relative_index(L)``.  With ``rq = r_q[relative_index(L)]`` as
+    [L, L, dim] and ``w = softmax(logits)`` over p::
 
         logits[n, o, p] = (q_o . k_p + q_o . rq[o, p]) + k_p . rk[o, p]
         out[n, :, o]    = w[n, o] @ v^T + w[n, o] @ rv[o]
@@ -601,22 +607,19 @@ def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,
     """
     k, v, r_q, r_k, r_v = (_coerce(t, q) for t in (k, v, r_q, r_k, r_v))
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"axial_attention: q, k and v must share one [N, dim, L] "
+        raise ShapeError(f"axial_attention: q, k and v must share one [B, heads*dim, L] "
                          f"shape, got {q.shape}, {k.shape}, {v.shape}")
-    _, dim, span = q.shape
+    bsz, channels, span = q.shape
+    if heads < 1 or channels % heads:
+        raise ShapeError(f"axial_attention: {channels} channels are not {heads} heads")
+    dim = channels // heads
+    split = (bsz * heads, dim, span)
     for name, t in (("r_q", r_q), ("r_k", r_k), ("r_v", r_v)):
         if t.shape != (2 * span - 1, dim):
             raise ShapeError(f"axial_attention: {name} must be "
                              f"[{2 * span - 1}, {dim}], got {list(t.shape)}")
-    rel_index = np.asarray(rel_index)
-    if rel_index.shape != (span * span,):
-        raise ShapeError(f"axial_attention: rel_index must have {span * span} "
-                         f"entries, got shape {rel_index.shape}")
-    if not (np.issubdtype(rel_index.dtype, np.integer)
-            and 0 <= rel_index.min() and rel_index.max() < 2 * span - 1):
-        raise ShapeError(f"axial_attention: rel_index must hold integers in "
-                         f"[0, {2 * span - 1})")
-    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, k, v))
+    rel_index = relative_index(span)
+    qd, kd, vd = (np.ascontiguousarray(t.data).reshape(split) for t in (q, k, v))
 
     def copy(a, axes):
         return np.ascontiguousarray(a.transpose(axes))
@@ -645,7 +648,7 @@ def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,
     out = np.matmul(w, rows(vd))  # [N, o, dim]
     # w[o] @ rv[o]: [o, N, p] @ [o, p, dim] -> [o, N, dim]
     out += np.matmul(weights_by_query(w), gathered(r_v)).transpose(1, 0, 2)
-    data = copy(out, (0, 2, 1))
+    data = copy(out, (0, 2, 1)).reshape(q.shape)
     del out
 
     def scatter(table, g_opd):  # g_opd: gradient of the gathered table, [o, p, dim]
@@ -654,10 +657,11 @@ def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,
         table._accumulate(full)
 
     def backward(g):
-        gout = g.transpose(0, 2, 1)  # [N, o, dim]
+        gout = g.reshape(split).transpose(0, 2, 1)  # [N, o, dim]
         gout_pos = gout.transpose(1, 0, 2)  # [o, N, dim]
         if v.requires_grad:
-            v._accumulate(np.matmul(w.transpose(0, 2, 1), gout).transpose(0, 2, 1))
+            gv = np.matmul(w.transpose(0, 2, 1), gout)  # [N, p, dim]
+            v._accumulate(gv.transpose(0, 2, 1).reshape(v.shape))
         if r_v.requires_grad:
             scatter(r_v, np.matmul(weights_by_query(w).transpose(0, 2, 1), gout_pos))
         if not (q.requires_grad or k.requires_grad
@@ -678,7 +682,7 @@ def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,
             rq_t = copy(gathered(r_q), (0, 2, 1))
             gq = (np.matmul(gw, kd.transpose(0, 2, 1))  # [N, o, dim]
                   + np.matmul(gw_pos, rq_t.transpose(0, 2, 1)).transpose(1, 0, 2))
-            q._accumulate(gq.transpose(0, 2, 1))
+            q._accumulate(gq.transpose(0, 2, 1).reshape(q.shape))
         if r_q.requires_grad:
             grq = np.matmul(by_position(qd).transpose(0, 2, 1), gw_pos)  # [o, dim, p]
             scatter(r_q, grq.transpose(0, 2, 1))
@@ -686,7 +690,7 @@ def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,
             rk_t = copy(gathered(r_k), (1, 2, 0))
             gk = (np.matmul(rows(qd).transpose(0, 2, 1), gw).transpose(0, 2, 1)  # [N, p, dim]
                   + np.matmul(gwk_pos, rk_t.transpose(0, 2, 1)).transpose(1, 0, 2))
-            k._accumulate(gk.transpose(0, 2, 1))
+            k._accumulate(gk.transpose(0, 2, 1).reshape(k.shape))
         if r_k.requires_grad:
             grk = np.matmul(by_position(kd).transpose(0, 2, 1), gwk_pos)  # [p, dim, o]
             scatter(r_k, grk.transpose(2, 0, 1))

@@ -11,11 +11,11 @@ Head outputs are concatenated and passed through an output projection, so the
 channel count is preserved.
 
 The attention core is one autodiff op, ``autodiff.axial_attention``, so the
-layer records nine tape nodes: the q, k and v projection matmuls, their free
-reshapes from [B, heads*dim, L] to [B*heads, dim, L], the op, one reshape
-back and the output matmul.  Inside the op the content terms q.k and
-weights.v are GEMMs batched over (batch, head), and the relative terms are
-GEMMs batched over one sequence position, because the gathered table
+layer records five tape nodes: the q, k and v projection matmuls, the op and
+the output matmul.  The op splits the heads itself and derives the position
+index from L, so the layer stores none.  Inside the op the content terms q.k
+and weights.v are GEMMs batched over (batch, head), and the relative terms
+are GEMMs batched over one sequence position, because the gathered table
 rq/rk/rv[o, p] differs per position while the B*heads rows that use it
 share it.  Their results are added into the [B*heads, L, L] logits and the
 output in place through strided views; no [B, h, L, L, dim] broadcast is
@@ -72,25 +72,16 @@ class AxialAttention1D(Module):
             setattr(self, name, Parameter(
                 rng.normal(0.0, emb_std, size=(2 * span - 1, self.dim)).astype(np.float32),
                 kind="embedding"))
-        # rel_index[o*L+p] = p - o + L - 1
-        pos = np.arange(span)
-        self.register_buffer(
-            "rel_index", (pos[None, :] - pos[:, None] + span - 1).reshape(-1))
 
     def forward(self, x: Tensor) -> Tensor:
-        bsz, channels, span = x.shape
+        _, channels, span = x.shape
         if channels != self.channels or span != self.span:
             raise ConfigurationError(
                 f"layer configured for [{self.channels}, {self.span}], "
                 f"got input [{channels}, {span}]")
-        # [B, heads*dim, L] -> [B*heads, dim, L]: head split is a free reshape
-        split = (bsz * self.heads, self.dim, span)
-        q, k, v = (ad.reshape(ad.matmul(w, x), split)
-                   for w in (self.w_q, self.w_k, self.w_v))
-        out = ad.axial_attention(q, k, v, self.r_q, self.r_k, self.r_v,
-                                 self.rel_index)
-        merged = ad.reshape(out, (bsz, self.heads * self.dim, span))
-        return ad.matmul(self.w_out, merged)
+        q, k, v = (ad.matmul(w, x) for w in (self.w_q, self.w_k, self.w_v))
+        out = ad.axial_attention(q, k, v, self.r_q, self.r_k, self.r_v, self.heads)
+        return ad.matmul(self.w_out, out)
 
 
 class AxialPairModule(Module):

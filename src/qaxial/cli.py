@@ -264,8 +264,6 @@ def cmd_subsample(args) -> int:
 
 
 def cmd_recon_demo(args) -> int:
-    if args.epochs < 1:
-        raise ConfigurationError(f"--epochs must be >= 1, got {args.epochs}")
     data, _ = load_dataset(args.data)
     quat_mse, real_mse = color_reconstruction_experiment(
         data, epochs=args.epochs, seed=args.seed)

@@ -102,13 +102,12 @@ class Module:
         return self.train(False)
 
     def to_dtype(self, dtype):
-        """Cast all parameters in place (float32 <-> float64)."""
+        """Cast all parameters and buffers in place (float32 <-> float64)."""
         for p in self.parameters():
             p.data = p.data.astype(dtype)
         for _, mod in self.named_modules():
             for bname, buf in mod._buffers.items():
-                if np.issubdtype(buf.dtype, np.floating):
-                    mod.register_buffer(bname, buf.astype(dtype))
+                mod.register_buffer(bname, buf.astype(dtype))
         return self
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericsError, TrainingDivergedError
 from .nn import Conv2d, Module, ReLU
 from .quaternion import QuaternionConv2d
 from .training import SGDMomentum
@@ -69,7 +69,11 @@ def _mse(model, gray, targets):
         for start in range(0, len(gray), 64):
             pred = model(Tensor(gray[start:start + 64])).data
             diff = pred - targets[start:start + 64]
-            total += float((diff * diff).sum())
+            error = float((diff * diff).sum())
+            if not np.isfinite(error):  # a non-finite or overflowing prediction
+                raise NumericsError(
+                    f"non-finite held-out error in the batch from sample {start}")
+            total += error
     return total / targets.size
 
 
@@ -78,11 +82,13 @@ def _fit(model, gray, targets, epochs, seed):
     n = len(gray)
     for epoch in range(epochs):
         order = np.random.default_rng([seed, epoch]).permutation(n)
-        for start in range(0, n, 16):
+        for step, start in enumerate(range(0, n, 16)):
             idx = order[start:start + 16]
             pred = model(Tensor(gray[idx]))
             diff = pred - Tensor(targets[idx])
             loss = (diff * diff).mean()
+            if not np.isfinite(loss.data):
+                raise TrainingDivergedError(epoch, step)
             opt.zero_grad()
             ad.backward(loss)
             opt.step(0.05)
@@ -114,8 +120,12 @@ def color_reconstruction_experiment(dataset, epochs: int = 6, seed: int = 0):
     one 16, so both budgets are exactly 36*8**2 + 72*8 = 2880 weights.  Both
     train with SGD, momentum 0.9, lr 0.05 and batch 16.  Inputs and color
     targets are centered by training-split channel means, so an untrained
-    (near-zero output) model scores roughly the target variance.
+    (near-zero output) model scores roughly the target variance.  A non-finite
+    batch loss raises ``TrainingDivergedError`` before its step, and a
+    non-finite held-out error ``NumericsError``.
     """
+    if epochs < 1:
+        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     (gray_train, target_train), (gray_test, target_test), quat, real = _setup(
         dataset, seed)
     _fit(quat, gray_train, target_train, epochs, seed)

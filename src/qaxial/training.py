@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fields
 from .autodiff import Tensor
+from .axial import AxialAttention1D
 from .errors import (
     CheckpointIntegrityError,
     ConfigurationError,
@@ -434,17 +435,30 @@ def _stack_quaternion_records(tensors: dict) -> None:
         tensors[base + "weight"] = np.stack(parts, axis=1)
 
 
+def _drop_relative_index_records(tensors: dict, model: Model) -> None:
+    """Drop older files' ``buffer/<layer>.rel_index`` records, each of which
+    must hold the index its attention layer now derives from the span."""
+    for name, mod in model.named_modules():
+        key = f"buffer/{name}.rel_index"
+        if isinstance(mod, AxialAttention1D) and key in tensors:
+            arr = tensors.pop(key)
+            if arr.dtype != np.int64 or not np.array_equal(arr, ad.relative_index(mod.span)):
+                raise CheckpointIntegrityError(f"tensor {key} is not the index of span {mod.span}")
+
+
 def checkpoint_load(path):
     """Rebuild (model, optimizer, epoch) from a checkpoint file, bit-exactly.
 
     The model is allocated without drawing an initialisation, and each
     tensor is copied once, out of the file bytes, which are freed before
     the model is allocated.  Files that store a quaternion layer as four
-    ``w_r``..``w_k`` records load too (see :func:`_stack_quaternion_records`).
+    ``w_r``..``w_k`` records load too (see :func:`_stack_quaternion_records`),
+    as do files with attention layers' position indexes.
     """
     meta, tensors = _read_checkpoint(path)
     _stack_quaternion_records(tensors)
     model = Model(spec_from_fields(meta), seed=None)
+    _drop_relative_index_records(tensors, model)
 
     def take(key, like: np.ndarray):
         arr = tensors.pop(key, None)

@@ -162,16 +162,21 @@ def dense_attention_1d(x, wq, wk, wv, wo, r_q, r_k, r_v, heads):
     return result
 
 
-def composed_axial_attention(q, k, v, r_q, r_k, r_v, rel_index):
+def composed_axial_attention(q, k, v, r_q, r_k, r_v, heads):
     """``autodiff.axial_attention`` composed from primitive tape ops.
 
-    Same inputs and output ([N, dim, L] q/k/v/out, [2L-1, dim] tables).
-    This is the formulation ``AxialAttention1D`` recorded before the fused
-    op: contiguous transposes into and out of the logits, one tape node per
-    op.  The fused op must equal it bit for bit, forward and backward.
+    Same inputs and output ([B, heads*dim, L] q/k/v/out, [2L-1, dim]
+    tables).  This is the formulation ``AxialAttention1D`` recorded before
+    the fused op: reshapes that split and merge the heads, contiguous
+    transposes into and out of the logits, one tape node per op.  The fused
+    op must equal it bit for bit, forward and backward.
     """
-    q, k, v = (ad.transpose(t, (0, 2, 1)) for t in (q, k, v))  # [N, L, dim]
-    span, dim = q.shape[1], q.shape[2]
+    bsz, inner, span = q.shape
+    dim = inner // heads
+    q, k, v = (ad.transpose(ad.reshape(t, (bsz * heads, dim, span)), (0, 2, 1))
+               for t in (q, k, v))  # [N, L, dim]
+    pos = np.arange(span)
+    rel_index = (pos[None, :] - pos[:, None] + span - 1).reshape(-1)
     logits = ad.matmul(q, ad.transpose(k, (0, 2, 1)))  # [N, o, p]
     shape = (span, span, dim)  # [o, p, dim]
     rq = ad.reshape(ad.take_rows(r_q, rel_index), shape)
@@ -188,4 +193,4 @@ def composed_axial_attention(q, k, v, r_q, r_k, r_v, rel_index):
     # w[o] @ rv[o]: [o, N, p] @ [o, p, dim] -> [o, N, dim]
     wr = ad.matmul(ad.transpose(weights, (1, 0, 2)), rv)
     out = out + ad.transpose(wr, (1, 0, 2))
-    return ad.transpose(out, (0, 2, 1))
+    return ad.reshape(ad.transpose(out, (0, 2, 1)), (bsz, inner, span))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -160,20 +161,19 @@ class TestAxialAttention1D:
             assert arr.size <= limit, arr.shape
 
 
-def op_inputs(n, dim, span, dtype=np.float32, seed=0):
+def op_inputs(bsz, heads, dim, span, dtype=np.float32, seed=0):
+    """q, k, v as [bsz, heads*dim, span] and the three [2*span-1, dim] tables."""
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=(n, dim, span)) for _ in range(3)]
+    arrays = [rng.normal(size=(bsz, heads * dim, span)) for _ in range(3)]
     arrays += [rng.normal(size=(2 * span - 1, dim)) for _ in range(3)]
-    pos = np.arange(span)
-    rel_index = (pos[None, :] - pos[:, None] + span - 1).reshape(-1)
-    return [a.astype(dtype) for a in arrays], rel_index
+    return [a.astype(dtype) for a in arrays]
 
 
-def output_and_grads(op, arrays, rel_index):
+def output_and_grads(op, arrays, heads):
     """op's output and the gradients of its six inputs under a fixed
     random projection of the output."""
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
-    out = op(*inputs, rel_index)
+    out = op(*inputs, heads)
     proj = np.random.default_rng(99).normal(size=out.shape).astype(out.dtype)
     ad.backward((out * Tensor(proj)).sum())
     return [out.data] + [t.grad for t in inputs]
@@ -186,12 +186,16 @@ class TestAxialAttentionOp:
     @pytest.mark.parametrize("n", (1, 20))
     @pytest.mark.parametrize("dim", (1, 3, 8, 32))
     def test_bitwise_equal_to_composed_ops(self, span, n, dim):
-        arrays, rel_index = op_inputs(n, dim, span, seed=span * 100 + n + dim)
-        got = output_and_grads(ad.axial_attention, arrays, rel_index)
-        want = output_and_grads(composed_axial_attention, arrays, rel_index)
-        for name, a, b in zip(("out", "q", "k", "v", "r_q", "r_k", "r_v"), got, want):
-            assert a.dtype == np.float32, name
-            npt.assert_array_equal(a, b, err_msg=name)
+        # n = batch * heads rows of attention, as one head and, for n = 20,
+        # as four heads of batch 5
+        for heads in sorted({1, math.gcd(n, 4)}):
+            arrays = op_inputs(n // heads, heads, dim, span,
+                               seed=span * 100 + n + dim + heads - 1)
+            got = output_and_grads(ad.axial_attention, arrays, heads)
+            want = output_and_grads(composed_axial_attention, arrays, heads)
+            for name, a, b in zip(("out", "q", "k", "v", "r_q", "r_k", "r_v"), got, want):
+                assert a.dtype == np.float32, name
+                npt.assert_array_equal(a, b, err_msg=f"{name}, {heads} heads")
 
     @pytest.mark.parametrize("span", (1, 5, 8, 14, 56))
     @pytest.mark.parametrize("bsz,heads", ((1, 1), (5, 4)))
@@ -218,17 +222,18 @@ class TestAxialAttentionOp:
             npt.assert_array_equal(a, b, err_msg=f"entry {i}")
 
     def test_grad_check_float64(self):
-        arrays, rel_index = op_inputs(3, 2, 4, dtype=np.float64, seed=1)
-        proj = Tensor(np.random.default_rng(2).normal(size=(3, 2, 4)))
+        arrays = op_inputs(3, 2, 2, 4, dtype=np.float64, seed=1)
+        proj = Tensor(np.random.default_rng(2).normal(size=(3, 4, 4)))
         inputs = [Tensor(a) for a in arrays]
         assert grad_check(
-            lambda *ts: (ad.axial_attention(*ts, rel_index) * proj).sum(),
+            lambda *ts: (ad.axial_attention(*ts, 2) * proj).sum(),
             inputs) < 1e-4
 
     @pytest.mark.parametrize("case", ("q_k_shape", "v_shape", "not_3d", "table_rows",
-                                      "table_dim", "index_length", "index_range"))
+                                      "table_dim", "heads_split", "heads_zero"))
     def test_bad_shapes_raise(self, case):
-        (q, k, v, r_q, r_k, r_v), rel_index = op_inputs(2, 3, 4)
+        q, k, v, r_q, r_k, r_v = op_inputs(2, 2, 3, 4)
+        heads = 2
         if case == "q_k_shape":
             k = k[:, :, :3]
         elif case == "v_shape":
@@ -239,12 +244,12 @@ class TestAxialAttentionOp:
             r_k = r_k[:-1]
         elif case == "table_dim":
             r_v = r_v[:, :2]
-        elif case == "index_length":
-            rel_index = rel_index[:-1]
+        elif case == "heads_split":
+            heads = 4  # 6 channels
         else:
-            rel_index = rel_index + 1
+            heads = 0
         with pytest.raises(ShapeError):
-            ad.axial_attention(*(Tensor(a) for a in (q, k, v, r_q, r_k, r_v)), rel_index)
+            ad.axial_attention(*(Tensor(a) for a in (q, k, v, r_q, r_k, r_v)), heads)
 
 
 class TestAxialPair:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qaxial import training
+from qaxial import cli, training
 from qaxial.cli import main, run_grad_check_suite
 from qaxial.training import (
     SGDMomentum,
@@ -12,7 +12,7 @@ from qaxial.training import (
     evaluate,
 )
 from qaxial.zoo import build, spec_for
-from qaxial.data import synthetic_classification_dataset, encode_cifar_records
+from qaxial.data import Dataset, synthetic_classification_dataset, encode_cifar_records
 
 SMOKE_DATA = "synthetic://classes=4,per_class=8,size=32,seed=0"
 
@@ -325,8 +325,19 @@ class TestReconDemo:
                      "synthetic://classes=4,per_class=10,size=8,seed=0", "--epochs", epochs])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "--epochs" in captured.err
+        assert captured.err.startswith("error:") and "epochs must be >= 1" in captured.err
         assert captured.out == ""  # no MSE and no verdict from an untrained pair
+
+    def test_diverging_run_exits_1_without_a_verdict(self, capsys, monkeypatch):
+        data = synthetic_classification_dataset(4, 10, 8, seed=0)
+        scaled = Dataset(data.images * 300, data.labels, data.class_count)
+        monkeypatch.setattr(cli, "load_dataset", lambda path: (scaled, None))
+        with np.errstate(all="ignore"):  # the overflow warnings would be errors
+            code = main(["recon-demo", "--data", "scaled", "--epochs", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "diverged" in captured.err
+        assert captured.out == ""
 
 
 class TestCifarViaCli:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qaxial.data import synthetic_classification_dataset
-from qaxial.errors import ConfigurationError
+from qaxial.data import Dataset, synthetic_classification_dataset
+from qaxial.errors import ConfigurationError, NumericsError, TrainingDivergedError
 from qaxial.recon import (
     QuaternionColorizer,
     RealColorizer,
@@ -33,6 +33,12 @@ class TestParameterMatch:
         with pytest.raises(ConfigurationError):
             color_reconstruction_experiment(data, epochs=1)
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, epochs):
+        data = synthetic_classification_dataset(4, 10, 8, seed=0)
+        with pytest.raises(ConfigurationError, match="epochs must be >= 1"):
+            color_reconstruction_experiment(data, epochs=epochs)
+
 
 class TestExperiment:
     def test_initial_mse_near_target_variance(self):
@@ -57,3 +63,22 @@ class TestExperiment:
         quat, real = color_reconstruction_experiment(data, epochs=6, seed=1)
         assert quat < 0.85 * quat0 * variance
         assert real < 0.85 * real0 * variance
+
+
+def scaled_dataset(factor):
+    """Images far outside [0, 1], on which lr 0.05 overflows the colorizers."""
+    data = synthetic_classification_dataset(4, 10, 8, seed=0)
+    return Dataset(data.images * factor, data.labels, data.class_count)
+
+
+class TestDivergence:
+    # numpy warns as the values overflow; pytest would turn that into an error
+    def test_non_finite_loss_raises_before_stepping(self):
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as info:
+            color_reconstruction_experiment(scaled_dataset(300), epochs=2)
+        assert (info.value.epoch, info.value.step) == (1, 0)
+
+    def test_non_finite_held_out_error_raises(self):
+        # one epoch leaves finite weights whose squared held-out error overflows
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match="sample 0"):
+            color_reconstruction_experiment(scaled_dataset(300), epochs=1)

@@ -10,6 +10,7 @@ import pytest
 from qaxial import autodiff as ad
 from qaxial import training
 from qaxial.autodiff import Tensor
+from qaxial.axial import AxialAttention1D
 from qaxial.data import Dataset, synthetic_classification_dataset
 from qaxial.errors import (
     CheckpointIntegrityError,
@@ -61,8 +62,10 @@ momentum = 0.9
 weight_decay = 9e-05
 decay_bn_params = True
 """
-# sha256 of the file test_file_bytes_are_pinned writes
-CHECKPOINT_SHA256 = "9d3943fea57eb281ac96c5e248de26ab7007e688418eed16594beebcbf689a97"
+# sha256 of the file test_file_bytes_are_pinned writes; restated when the
+# attention layers stopped writing rel_index records (the older writer's file
+# with those records left out has this digest)
+CHECKPOINT_SHA256 = "f5ee598ec0196598dd2aea44b7a927e3b99be0e9ad4f3ad0e6b1151d1803803f"
 
 
 def reseal(path, payload):
@@ -135,6 +138,41 @@ def quaternion_records_split(path, out, layers, drop=()):
     for key, arr in records:
         training._write_tensor(chunks.append, key, arr)
     reseal(out, payload[:16 + blob_len] + struct.pack("<I", len(records))
+           + b"".join(chunks))
+
+
+def position_index_records(model):
+    """The ``buffer/<layer>.rel_index`` records of the format in which each
+    attention layer stored its position index, entry o*L + p = p - o + L - 1."""
+    records = {}
+    for name, mod in model.named_modules():
+        if isinstance(mod, AxialAttention1D):
+            pos = np.arange(mod.span)
+            records[f"buffer/{name}.rel_index"] = \
+                (pos[None, :] - pos[:, None] + mod.span - 1).reshape(-1)
+    return records
+
+
+def position_index_records_added(path, out, model, records):
+    """Rewrite checkpoint ``path`` of ``model`` as ``out`` with ``records``
+    added where that format wrote them: after the buffers of the modules
+    before the layer each names, in module order.  A key that names no layer
+    goes after the last buffer."""
+    payload = path.read_bytes()[:-8]
+    (blob_len,) = struct.unpack_from("<I", payload, 12)
+    tensors = {**training._read_checkpoint(path)[1], **records}
+    buffers = []
+    for name, mod in model.named_modules():
+        buffers += [f"buffer/{name}.{b}" for b in mod._buffers]
+        buffers += [k for k in records if k == f"buffer/{name}.rel_index"]
+    buffers += [k for k in records if k not in buffers]
+    keys = [k for k in tensors if k.startswith("param/")] + buffers \
+        + [k for k in tensors if k.startswith("vel/")]
+    assert sorted(keys) == sorted(tensors)
+    chunks = []
+    for key in keys:
+        training._write_tensor(chunks.append, key, tensors[key])
+    reseal(out, payload[:16 + blob_len] + struct.pack("<I", len(keys))
            + b"".join(chunks))
 
 
@@ -691,6 +729,46 @@ class TestCheckpoint:
                                  drop={f"{kind}/{min(layers)}.{component}"})
         with pytest.raises(CheckpointIntegrityError, match=re.escape(min(layers))):
             checkpoint_load(legacy)
+
+    def test_position_index_records_load_bit_for_bit(self, tmp_path):
+        model, opt, _, _ = self._trained(tmp_path)
+        direct = tmp_path / "direct.qx"
+        checkpoint_save(direct, model, opt, epoch=1)
+        legacy = tmp_path / "legacy.qx"
+        records = position_index_records(model)
+        assert len(records) == 8
+        position_index_records_added(direct, legacy, model, records)
+        loaded, loaded_opt, epoch = checkpoint_load(legacy)
+        assert epoch == 1
+        ours = training_state(model, opt)
+        theirs = training_state(loaded, loaded_opt)
+        assert ours.keys() == theirs.keys()
+        for key, arr in ours.items():
+            assert theirs[key].dtype == arr.dtype, key
+            assert theirs[key].tobytes() == arr.tobytes(), key
+        again = tmp_path / "again.qx"
+        checkpoint_save(again, loaded, loaded_opt, epoch)
+        assert again.read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("case", ["changed", "wrong_dtype", "no_layer"])
+    def test_bad_position_index_record_is_rejected(self, tmp_path, case):
+        model, opt, _, _ = self._trained(tmp_path)
+        path = tmp_path / "model.qx"
+        checkpoint_save(path, model, opt, epoch=1)
+        records = position_index_records(model)
+        key = min(records)
+        if case == "changed":
+            records[key][5] += 1
+            error = key
+        elif case == "wrong_dtype":
+            records[key] = records[key].astype(np.float32)
+            error = key
+        else:
+            records = {"buffer/stem_conv.rel_index": records[key]}
+            error = "unexpected tensor buffer/stem_conv.rel_index"
+        position_index_records_added(path, path, model, records)
+        with pytest.raises(CheckpointIntegrityError, match=re.escape(error)):
+            checkpoint_load(path)
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         config = TrainConfig(epochs=2, batch_size=6, base_lr=0.01,
