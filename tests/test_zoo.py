@@ -345,6 +345,28 @@ class TestSummarize:
             "0x1.04d83c0000000p+1",
             "a748d6b31ee7aa425bca4737d2eab6d6c7c137b79013f1656492e8c77c5a8194")
 
+    def test_quat_axial_224_inference_is_pinned(self, monkeypatch):
+        """The paper's inference setting: ``quat_axial``-26 at seed 0, eval
+        mode, no_grad, one fixed 224-px image.  Pins sha256 and the first
+        value of the classifier's input, which every attention span, pool
+        and bank of the net feed.  The logits themselves are not pinned: at
+        batch 1 the classifier is a gemv, which OpenBLAS rounds differently
+        with its thread count.  The bits depend on the BLAS build, as
+        criterion 9's do."""
+        model = build(spec_for("quat_axial", 26), seed=0).eval()
+        x = np.random.default_rng(224).normal(size=(1, 3, 224, 224)).astype(np.float32)
+        features = []
+        classify = model.classifier.forward
+        monkeypatch.setattr(model.classifier, "forward",
+                            lambda t: features.append(t.data) or classify(t))
+        with no_grad():
+            logits = model(Tensor(x)).data
+        assert logits.shape == (1, 1000) and np.isfinite(logits).all()
+        (pooled,) = features
+        assert (hashlib.sha256(pooled.tobytes()).hexdigest(), float(pooled[0, 0]).hex()) == (
+            "4485ea2df6f6f99ea9b92b6996668e5907693e119e7d43b0e4a502c2c7dda378",
+            "0x1.e954540000000p+0")
+
     def test_deterministic_build(self):
         a = build(small_spec("axial"), seed=7)
         b = build(small_spec("axial"), seed=7)
