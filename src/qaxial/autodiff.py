@@ -159,10 +159,16 @@ def _coerce(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.dtype))
 
 
+def _records(parents) -> bool:
+    """Whether an op on ``parents`` records a tape node, so that its
+    backward will run and may read what the forward keeps for it."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _result(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
     if _nan_checks and not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite values produced by op '{op}'")
-    requires = _grad_enabled and any(p.requires_grad for p in parents)
+    requires = _records(parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -568,6 +574,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _result(out, parents, backward, "conv2d")
 
 
+# bytes of [rows, L, L] logits that one row block of axial_attention's
+# forward works on, so that the block stays in a core's L2 cache
+ATTENTION_BLOCK_BYTES = 256 * 1024
+
+
 def relative_index(span: int) -> np.ndarray:
     """Entry ``o*L + p`` is ``p - o + L - 1``: the table row of query o, key p."""
     pos = np.arange(span)
@@ -589,11 +600,22 @@ def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,
 
     The content terms are GEMMs batched over n.  The relative terms are GEMMs
     batched over one position, on position-major [L, N, dim] copies of q and
-    k.  The [N, L, L] logits and weights are never copied: both relative
-    terms are added into them in place through strided views, softmax runs
-    in place, and the weights enter their relative-term GEMMs as views.
-    Only the softmax output is kept for backward; the small copies and the
-    gathered tables are rebuilt there.
+    k.  The logits and weights are never copied: both relative terms are
+    added into them in place through strided views, softmax runs in place,
+    and the weights enter their relative-term GEMMs as views.
+
+    The forward runs in blocks of rows of N, sized so that a block's
+    [rows, L, L] logits fit ATTENTION_BLOCK_BYTES and stay in cache through
+    every step above, from the GEMMs on the block's slices to the two value
+    GEMMs into its rows of the output.
+    When the node records, the blocks are slices of the [N, L, L] softmax
+    output that backward reads, and that is all it keeps: the small copies
+    and the gathered tables are rebuilt there.  Otherwise one block buffer
+    is reused, so inference never holds the full logits.  The row max comes
+    from a transposed copy of the block, [L, rows*L], as a column max:
+    numpy reduces short rows one at a time but a column max runs along long
+    contiguous rows, and max is exact in any order.  The row sum is numpy's
+    own, over the same contiguous rows as unblocked.
 
     Output and gradients equal those of the same formula composed from
     ``transpose``, ``matmul``, ``take_rows``, ``add`` and ``softmax`` bit for
@@ -603,7 +625,13 @@ def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,
     may round a GEMM differently when an operand comes transposed (OpenBLAS
     0.3.31 does at dim 32) or a gemv (N = 1 or dim = 1) with another
     leading dimension, and numpy runs its own loop for operands BLAS cannot
-    take.
+    take.  The blocks split the relative-term GEMMs by rows.  OpenBLAS
+    0.3.31 rounds such a block as it rounds those rows of the whole GEMM
+    when the block starts at a multiple of 8 rows and holds more than one
+    row (one row would be a gemv), hence the block sizes.  The exception is
+    a whole GEMM of dim >= 32 and over about 10^6 multiply-adds
+    (N * L * dim), which it runs on other kernels; at 224 px and batch 1
+    the largest is 448 * 56 * 8.
     """
     k, v, r_q, r_k, r_v = (_coerce(t, q) for t in (k, v, r_q, r_k, r_v))
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
@@ -637,17 +665,39 @@ def axial_attention(q: Tensor, k: Tensor, v: Tensor, r_q: Tensor, r_k: Tensor,
         # a copy only where numpy takes gemv (dim 1), which rounds by stride
         return w.transpose(1, 0, 2) if dim > 1 else copy(w, (1, 0, 2))
 
-    w = np.matmul(rows(qd), kd)  # [N, o, p]
-    # q_o . rq[o, p]: [o, N, dim] @ [o, dim, p] -> [o, N, p]
-    w += np.matmul(by_position(qd), copy(gathered(r_q), (0, 2, 1))).transpose(1, 0, 2)
-    # k_p . rk[o, p]: [p, N, dim] @ [p, dim, o] -> [p, N, o]
-    w += np.matmul(by_position(kd), copy(gathered(r_k), (1, 2, 0))).transpose(1, 2, 0)
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    out = np.matmul(w, rows(vd))  # [N, o, dim]
-    # w[o] @ rv[o]: [o, N, p] @ [o, p, dim] -> [o, N, dim]
-    out += np.matmul(weights_by_query(w), gathered(r_v)).transpose(1, 0, 2)
+    # blocks start at multiples of 8 rows; a last block of one row, whose
+    # relative-term GEMMs would be gemvs, joins the one before
+    n_rows = split[0]
+    block = max(8, ATTENTION_BLOCK_BYTES // (span * span * q.dtype.itemsize) // 8 * 8)
+    bounds = list(range(0, n_rows, block))
+    if len(bounds) > 1 and n_rows - bounds[-1] == 1:
+        bounds.pop()
+    bounds.append(n_rows)
+    largest = max(b - a for a, b in zip(bounds, bounds[1:]))
+    records = _records((q, v, k, r_q, r_k, r_v))
+    w = np.empty((n_rows if records else largest, span, span), dtype=q.dtype)
+    rel = np.empty((span, largest, span), dtype=q.dtype)
+    by_key = np.empty((span, largest * span), dtype=q.dtype)
+    q_rows, v_rows, q_pos, k_pos = rows(qd), rows(vd), by_position(qd), by_position(kd)
+    rq_t, rk_t, rv = copy(gathered(r_q), (0, 2, 1)), copy(gathered(r_k), (1, 2, 0)), gathered(r_v)
+    out = np.empty((n_rows, span, dim), dtype=q.dtype)  # [N, o, dim]
+    for a, b in zip(bounds, bounds[1:]):
+        wb = w[a:b] if records else w[:b - a]  # [n, o, p]
+        rb = rel[:, :b - a]
+        np.matmul(q_rows[a:b], kd[a:b], out=wb)
+        # q_o . rq[o, p]: [o, n, dim] @ [o, dim, p] -> [o, n, p]
+        wb += np.matmul(q_pos[:, a:b], rq_t, out=rb).transpose(1, 0, 2)
+        # k_p . rk[o, p]: [p, n, dim] @ [p, dim, o] -> [p, n, o]
+        wb += np.matmul(k_pos[:, a:b], rk_t, out=rb).transpose(1, 2, 0)
+        # the row max as a column max over long contiguous rows; max is exact
+        t = by_key[:, :(b - a) * span]
+        np.copyto(t, wb.reshape(-1, span).T)
+        wb -= t.max(axis=0).reshape(b - a, span, 1)
+        np.exp(wb, out=wb)
+        wb /= wb.sum(axis=-1, keepdims=True)
+        np.matmul(wb, v_rows[a:b], out=out[a:b])
+        # w[o] @ rv[o]: [o, n, p] @ [o, p, dim] -> [o, n, dim]
+        out[a:b] += np.matmul(weights_by_query(wb), rv).transpose(1, 0, 2)
     data = copy(out, (0, 2, 1)).reshape(q.shape)
     del out
 
@@ -705,6 +755,14 @@ def max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
 
     Output size is ceil((H-k)/stride)+1, so a 3x3/stride-2 pool halves even
     inputs (112 -> 56) without padding.
+
+    The value is a running ``np.maximum`` over the k*k strided tap views of
+    the input, padded at the bottom and right with -inf; a tie keeps the
+    earlier tap (``np.maximum`` returns its second operand when the two
+    compare equal), so the value is that of the first tap equal to the
+    window's max, as ``argmax`` picks it.  Only when the node records is
+    that tap's index built for backward: the first tap equal to the max, or
+    in a window holding a NaN the first NaN.
     """
     if x.ndim != 4:
         raise ShapeError("max_pool2d expects 4-D input")
@@ -719,13 +777,18 @@ def max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
     hp, wp = (ho - 1) * stride + kernel, (wo - 1) * stride + kernel
     xp = np.pad(x.data, ((0, 0), (0, 0), (0, hp - h), (0, wp - w)),
                 constant_values=-np.inf) if (hp > h or wp > w) else x.data
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, c, ho, wo, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw), writeable=False)
-    flat = windows.reshape(n, c, ho, wo, kernel * kernel)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    taps = [xp[:, :, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride]
+            for ky in range(kernel) for kx in range(kernel)]
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(tap, out, out=out)
+    arg = None
+    if _records((x,)):
+        arg = np.zeros(out.shape, dtype=np.intp)
+        for t in range(len(taps) - 1, -1, -1):  # the last write is the first hit
+            hit = np.equal(taps[t], out)
+            hit |= np.isnan(taps[t])
+            np.copyto(arg, t, where=hit)
 
     def backward(g):
         gin = np.zeros((n, c, hp, wp), dtype=g.dtype)
@@ -735,19 +798,40 @@ def max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
         np.add.at(gin, (ni, ci, rows, cols_), g)
         x._accumulate(gin[:, :, :h, :w])
 
-    return _result(np.ascontiguousarray(out), (x,), backward, "max_pool2d")
+    return _result(out, (x,), backward, "max_pool2d")
 
 
 def avg_pool2d_2x2(x: Tensor) -> Tensor:
-    """Non-overlapping 2x2 average pool; spatial dims must be even."""
+    """Non-overlapping 2x2 average pool; spatial dims must be even.
+
+    Equals ``reshape(n, c, h/2, 2, w/2, 2).mean(axis=(3, 5))`` bit for bit by
+    adding the four strided quarter views in the order numpy's reduction
+    does: ``(a + b) + (c + d)`` with a, b the top and c, d the bottom pair
+    of each window, and ``((a + b) + c) + d`` when ``w == 2``, where the
+    reduced axes merge into one contiguous run of four that numpy sums in
+    sequence.  The mean's division by 4 is exact either way.  Backward
+    writes ``g * 0.25`` into the four quarters of the input gradient.
+    """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2d_2x2 needs even spatial dims, got {h}x{w}")
-    data = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    quarters = [(slice(None), slice(None), slice(dy, None, 2), slice(dx, None, 2))
+                for dy in (0, 1) for dx in (0, 1)]
+    top_left, top_right, bottom_left, bottom_right = (x.data[q] for q in quarters)
+    data = np.add(top_left, top_right)
+    if w == 2:
+        data += bottom_left
+        data += bottom_right
+    else:
+        data += bottom_left + bottom_right
+    data /= 4
 
     def backward(g):
-        up = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3)
-        x._accumulate(up * 0.25)
+        gx = np.empty(x.shape, dtype=g.dtype)
+        quarter = g * 0.25
+        for q in quarters:
+            gx[q] = quarter
+        x._accumulate(gx)
 
     return _result(data, (x,), backward, "avg_pool2d")
 

@@ -194,3 +194,15 @@ def composed_axial_attention(q, k, v, r_q, r_k, r_v, heads):
     wr = ad.matmul(ad.transpose(weights, (1, 0, 2)), rv)
     out = out + ad.transpose(wr, (1, 0, 2))
     return ad.reshape(ad.transpose(out, (0, 2, 1)), (bsz, inner, span))
+
+
+def pool_argmax(x, kernel, stride):
+    """Window argmax of ``ad.max_pool2d`` (ceil-mode, clipped windows),
+    found by a different route: -inf padding and a sliding window view."""
+    h, w = x.shape[2:]
+    hp = -((h - kernel) // -stride) * stride + kernel
+    wp = -((w - kernel) // -stride) * stride + kernel
+    xp = np.pad(x, ((0, 0), (0, 0), (0, hp - h), (0, wp - w)), constant_values=-np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    return windows.reshape(windows.shape[:4] + (-1,)).argmax(axis=-1)

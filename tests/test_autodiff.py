@@ -21,7 +21,7 @@ from qaxial.errors import (
 from qaxial.nn import Conv2d, Linear, Parameter
 from qaxial.quaternion import _EXPANSION
 
-from oracles import expand_quaternion_weight, naive_conv2d, naive_conv2d_grads
+from oracles import expand_quaternion_weight, naive_conv2d, naive_conv2d_grads, pool_argmax
 
 
 def rand(shape, seed, dtype=np.float64, scale=1.0):
@@ -310,6 +310,59 @@ class TestElementwiseAndReductions:
         npt.assert_allclose(ad.avg_pool2d_2x2(x).data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
         with pytest.raises(ShapeError):
             ad.avg_pool2d_2x2(Tensor(np.zeros((1, 1, 3, 4))))
+
+
+class TestPools:
+    """The pools' strided-view kernels against the reductions they replace."""
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_avg_pool_equals_reshaped_mean(self, dtype):
+        rng = np.random.default_rng(7)
+        for n, c, h, w in itertools.product((1, 3), (1, 5), (2, 4, 14), (2, 6, 56)):
+            x = rng.normal(size=(n, c, h, w)) * 10.0 ** rng.integers(-3, 4, size=(n, c, h, w))
+            x = x.astype(dtype)
+            want = x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+            got = ad.avg_pool2d_2x2(Tensor(x)).data
+            assert got.dtype == dtype
+            npt.assert_array_equal(got, want, err_msg=f"{(n, c, h, w)}")
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_avg_pool_backward_equals_repeated_quarter(self, dtype):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 3, 6, 4)).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(2, 3, 3, 2)).astype(dtype)
+        backward((ad.avg_pool2d_2x2(x) * Tensor(g)).sum())
+        assert x.grad.dtype == dtype
+        npt.assert_array_equal(x.grad, np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25)
+
+    @pytest.mark.parametrize("kernel,stride", ((3, 2), (2, 2), (3, 1), (2, 3)))
+    def test_max_pool_equals_argmax_reference(self, kernel, stride):
+        # few distinct values, so most windows tie; signed zeros, -inf
+        # entries, bottom windows that hold only -inf (clipped at 3/2), and
+        # NaN windows
+        rng = np.random.default_rng(kernel * 10 + stride)
+        x = rng.choice(np.array([-np.inf, -1.0, -0.0, 0.0, 2.0]), size=(2, 3, 8, 8))
+        x[1, 2, 5:, :] = -np.inf
+        x[0, 1, 2:4, 2:4] = np.nan
+        x = Tensor(x, requires_grad=True)
+        # each window's pick, at its coordinates in the -inf padded input
+        arg = pool_argmax(x.data, kernel, stride)
+        ni, ci, oy, ox = np.indices(arg.shape)
+        rows, cols = oy * stride + arg // kernel, ox * stride + arg % kernel
+        hp, wp = ((size - 1) * stride + kernel for size in arg.shape[2:])
+        xp = np.pad(x.data, ((0, 0), (0, 0), (0, hp - 8), (0, wp - 8)),
+                    constant_values=-np.inf)
+        want = xp[ni, ci, rows, cols]
+        out = ad.max_pool2d(x, kernel, stride)
+        assert np.isnan(want).any() and np.isneginf(want).any()
+        assert out.data.tobytes() == want.tobytes()
+        with ad.no_grad():
+            assert ad.max_pool2d(x, kernel, stride).data.tobytes() == want.tobytes()
+        g = rng.normal(size=want.shape)
+        out._backward_fn(g)  # no loss over them: -inf and NaN outputs
+        gin = np.zeros(xp.shape)
+        np.add.at(gin, (ni, ci, rows, cols), g)
+        npt.assert_array_equal(x.grad, gin[:, :, :8, :8])
 
 
 class TestBackward:

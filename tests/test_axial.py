@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -220,6 +221,50 @@ class TestAxialAttentionOp:
         assert len(got) == len(want) == 9
         for i, (a, b) in enumerate(zip(got, want)):
             npt.assert_array_equal(a, b, err_msg=f"entry {i}")
+
+    @pytest.mark.parametrize("dtype,bsz,heads,dim", (
+        (np.float64, 5, 9, 3), (np.float64, 17, 1, 8), (np.float32, 9, 5, 4)))
+    def test_row_blocks_bitwise_equal_to_composed_ops(self, dtype, bsz, heads, dim):
+        # at span 56, 8 float64 or 16 float32 rows of N fill a block: N = 45
+        # gives several blocks and a shorter last one, N = 17 a last block
+        # of 9, as a lone last row joins the block before
+        arrays = op_inputs(bsz, heads, dim, 56, dtype=dtype, seed=bsz + dim)
+        got = output_and_grads(ad.axial_attention, arrays, heads)
+        want = output_and_grads(composed_axial_attention, arrays, heads)
+        for name, a, b in zip(("out", "q", "k", "v", "r_q", "r_k", "r_v"), got, want):
+            assert a.dtype == dtype, name
+            npt.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("span", (5, 8, 14))
+    @pytest.mark.parametrize("n", (17, 45))
+    @pytest.mark.parametrize("dim", (1, 3, 8, 32))
+    def test_eight_row_blocks_bitwise_equal_to_composed_ops(self, span, n, dim, monkeypatch):
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK_BYTES", 0)  # blocks of 8 rows
+        arrays = op_inputs(n, 1, dim, span, seed=span + n + dim)
+        got = output_and_grads(ad.axial_attention, arrays, 1)
+        want = output_and_grads(composed_axial_attention, arrays, 1)
+        for name, a, b in zip(("out", "q", "k", "v", "r_q", "r_k", "r_v"), got, want):
+            npt.assert_array_equal(a, b, err_msg=name)
+
+    def test_no_grad_holds_no_full_logits(self):
+        bsz, heads, dim, span = 8, 25, 2, 56
+        inputs = [Tensor(a, requires_grad=True)
+                  for a in op_inputs(bsz, heads, dim, span, dtype=np.float64, seed=4)]
+        logits_bytes = bsz * heads * span * span * 8
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = ad.axial_attention(*inputs, heads)
+                peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out._backward_fn is None
+        assert peak < logits_bytes, (peak, logits_bytes)
+        recorded = ad.axial_attention(*inputs, heads)
+        assert recorded._backward_fn is not None
+        npt.assert_array_equal(out.data, recorded.data)
 
     def test_grad_check_float64(self):
         arrays = op_inputs(3, 2, 2, 4, dtype=np.float64, seed=1)

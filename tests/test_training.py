@@ -617,10 +617,15 @@ class TestCheckpoint:
         payload = path.read_bytes()[:-8]
         ends = record_boundaries(payload)
         bad = tmp_path / "short.qx"
+        # each prefix is sealed from one running hash, not hashed from its start
+        running, done = hashlib.blake2b(digest_size=8), 0
         for end in [0] + ends[:-1]:
-            reseal(bad, payload[:end])
+            running.update(payload[done:end])
+            done = end
+            bad.write_bytes(payload[:end] + running.copy().digest())
             with pytest.raises(CheckpointIntegrityError, match="truncated"):
                 checkpoint_load(bad)
+        assert running.digest() == training._checksum(payload[:done])
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
         model, opt, _, _ = self._trained(tmp_path)

@@ -18,6 +18,8 @@ from qaxial.zoo import (
     summarize,
 )
 
+from oracles import pool_argmax
+
 # published sizes: (variant, depth) -> (params, tolerance)
 PUBLISHED_COUNTS = {
     ("resnet", 26): (13.6e6, 0.03),
@@ -373,18 +375,6 @@ class TestSummarize:
         for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
             assert na == nb
             np.testing.assert_array_equal(pa.data, pb.data)
-
-
-def pool_argmax(x, kernel, stride):
-    """Window argmax of ``ad.max_pool2d`` (ceil-mode, clipped windows),
-    found by a different route: -inf padding and a sliding window view."""
-    h, w = x.shape[2:]
-    hp = -((h - kernel) // -stride) * stride + kernel
-    wp = -((w - kernel) // -stride) * stride + kernel
-    xp = np.pad(x, ((0, 0), (0, 0), (0, hp - h), (0, wp - w)), constant_values=-np.inf)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    return windows.reshape(windows.shape[:4] + (-1,)).argmax(axis=-1)
 
 
 class TestWholeModelGradient:
