@@ -2,13 +2,15 @@
 # CLI round trip on a tiny synthetic dataset, for quat_axial (width 0.25) and
 # quat_resnet: train one epoch, resume to epoch 2 from its checkpoint,
 # evaluate the result.  Each command must exit 0, and history.csv must then
-# list epochs 0 and 1.  Then six misuses must be refused (exit 1, "error:"
+# list epochs 0 and 1.  Then nine misuses must be refused (exit 1, "error:"
 # and no "Traceback" on stderr): eval of the quat_resnet checkpoint on a
 # dataset with another class count; a resume from it whose flags name another
 # architecture, which must also leave no --out directory behind; a resume
 # whose config has no epoch left to train, which must leave history.csv as it
 # was; train with a --config file that is not UTF-8; subsample --per-class 0,
-# which must write no manifest; and recon-demo --epochs 0.
+# which must write no manifest; recon-demo --epochs 0; count-params
+# --width-scale 1e308; train with a config holding seed = -1, which must leave
+# no --out directory; and bench --seed -1.
 # Run from the repository root: bash scripts/cli_round_trip.sh
 set -euo pipefail
 
@@ -54,3 +56,8 @@ touch "$work/tree/a/0.ppm"
 refused subsample --root "$work/tree" --per-class 0
 test ! -e "$work/tree/manifest.txt"
 refused recon-demo --data synthetic://classes=2,per_class=5,size=8,seed=0 --epochs 0
+refused count-params --variant axial --width-scale 1e308
+printf 'seed = -1\n' > "$work/seed.cfg"
+refused train --variant quat_resnet --data "$data" --config "$work/seed.cfg" --out "$work/seed"
+test ! -e "$work/seed"
+refused bench --variant resnet --seed -1

@@ -516,6 +516,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``wmat @ xt``, ``gmat @ xt.T`` and ``wmat.T @ gmat``; the last is folded
     back through the signs into ``_col2im``.  Under :data:`REAL` ``xt`` is the
     columns themselves and nothing is folded.
+
+    ``xt`` copies ``nc*q_in*kh*kw`` rows of ``na*N*Ho*Wo``, while the weight
+    spread by :func:`signed_blocks`, ``[q_out, na, q_in, nb, kh, kw]``, has
+    ``na*q_out`` rows of ``nb*q_in*kh*kw``.  So when ``N*Ho*Wo >= q_out`` the
+    op spreads a 5-D weight instead and runs the :data:`REAL` path on it.
     """
     weight = _coerce(weight, x)
     if x.ndim != 4 or weight.ndim not in (4, 5):
@@ -532,6 +537,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d bias must have shape ({q_out * na},)")
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     m = n * ho * wo
+    if table != REAL and weight.ndim == 5 and m >= q_out:  # no larger than xt
+        weight = signed_blocks(weight, table, (1, 3))
+        q_out, q_in, nc, na, nb, table = q_out * na, q_in * nb, 1, 1, 1, REAL
     plain = table == REAL
     if plain:
         xt = cols
@@ -754,7 +762,9 @@ def max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
     """Max pool with ceil-mode output size; boundary windows are clipped.
 
     Output size is ceil((H-k)/stride)+1, so a 3x3/stride-2 pool halves even
-    inputs (112 -> 56) without padding.
+    inputs (112 -> 56) without padding.  As in PyTorch, a last window that
+    would start at or past the input's edge is dropped; only stride > k
+    can make one.
 
     The value is a running ``np.maximum`` over the k*k strided tap views of
     the input, padded at the bottom and right with -inf; a tie keeps the
@@ -767,14 +777,15 @@ def max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
     if x.ndim != 4:
         raise ShapeError("max_pool2d expects 4-D input")
     n, c, h, w = x.shape
+    if min(kernel, stride) < 1:
+        raise ContractError(f"pool kernel and stride must be >= 1, got {kernel}, {stride}")
     if kernel > h or kernel > w:
         raise ShapeError(f"pool kernel {kernel} larger than input {h}x{w}")
-    if stride < 1:
-        raise ContractError("stride must be >= 1")
-    ho = -((h - kernel) // -stride) + 1
-    wo = -((w - kernel) // -stride) + 1
-    # pad bottom/right with -inf so clipped boundary windows become regular
-    hp, wp = (ho - 1) * stride + kernel, (wo - 1) * stride + kernel
+    # ceil mode, dropping a last window that would start at or past the edge
+    ho, wo = (min(-((d - kernel) // -stride), (d - 1) // stride) + 1 for d in (h, w))
+    # pad bottom/right with -inf so clipped boundary windows become regular;
+    # a dropped window can leave the windows short of an edge instead
+    hp, wp = max((ho - 1) * stride + kernel, h), max((wo - 1) * stride + kernel, w)
     xp = np.pad(x.data, ((0, 0), (0, 0), (0, hp - h), (0, wp - w)),
                 constant_values=-np.inf) if (hp > h or wp > w) else x.data
     taps = [xp[:, :, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride]

@@ -190,6 +190,8 @@ def synthetic_classification_dataset(classes: int, per_class: int, size: int,
     """
     if min(classes, per_class, size) < 1:
         raise ConfigurationError("classes, per_class, size must be positive")
+    if seed < 0:
+        raise ConfigurationError(f"'seed' must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     ys, xs = np.mgrid[0:size, 0:size] / size
     images = np.empty((classes * per_class, 3, size, size), dtype=np.float32)

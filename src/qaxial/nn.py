@@ -136,22 +136,25 @@ def _he_normal(rng: np.random.Generator, shape, fan_in: int):
 
 
 class Conv2d(Module):
+    table = ad.REAL  # the sign table ``ad.conv2d`` applies to ``weight``
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0,
                  rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        fan_in = in_channels * kernel_size * kernel_size
-        self.weight = Parameter(_he_normal(
-            rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in))
+        self.weight = Parameter(self.initial_weight(rng or np.random.default_rng(0)))
+
+    def initial_weight(self, rng) -> np.ndarray:
+        shape = (self.out_channels, self.in_channels, self.kernel_size, self.kernel_size)
+        return _he_normal(rng, shape, math.prod(shape[1:]))
 
     def forward(self, x):
-        return ad.conv2d(x, self.weight, None, self.stride, self.padding)
+        return ad.conv2d(x, self.weight, None, self.stride, self.padding, self.table)
 
 
 class Linear(Module):

@@ -9,16 +9,15 @@ the four components of w in a fixed sign pattern, the sign table
 ``_EXPANSION``, so a quaternion convolution is exactly a real convolution
 with a structured weight tensor: each (output-group, input-group) block of
 the expanded weight holds only four independent values.
-:class:`QuaternionConv2d` runs its GEMM against whichever side makes the
-smaller 4x copy.  With ``N*Ho*Wo`` output pixels and ``q_out`` output
-quaternions, it builds that weight (``expanded_weight``) and runs the real
-convolution on it when ``N*Ho*Wo >= q_out``.  Otherwise it calls the same op,
-:func:`~qaxial.autodiff.conv2d`, with ``_EXPANSION`` as its sign table, and
-the op applies the signs to the im2col columns of its input instead, so one
-GEMM against the layer's one weight tensor gives the output.  Either way the
-output and the weight gradient come out of one GEMM each.  Each layer stores
-its kernel as one ``weight`` with the four components stacked on axis 1:
-[q_out, 4, q_in, kh, kw] for the conv, [channels/4, 4] for the bank.
+:class:`QuaternionConv2d` is therefore a :class:`~qaxial.nn.Conv2d` whose
+sign table is ``_EXPANSION``, and :func:`~qaxial.autodiff.conv2d` runs its
+GEMM against whichever side makes the smaller 4x copy: with ``N*Ho*Wo``
+output pixels and ``q_out`` output quaternions it spreads the weight into
+that real weight when ``N*Ho*Wo >= q_out``, and otherwise applies the signs
+to the im2col columns of its input.  Either way the output and the weight
+gradient come out of one GEMM each.  Each layer stores its kernel as one
+``weight`` with the four components stacked on axis 1: [q_out, 4, q_in, kh,
+kw] for the conv, [channels/4, 4] for the bank.  The spread conv weight,
 ``expanded_weight`` and :class:`QuaternionBank1x1`'s 4x4 matrices are built
 by :func:`~qaxial.autodiff.signed_blocks` from the same table; each shared
 component's gradient is the signed sum of the gradients over its four
@@ -35,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigurationError, ShapeError
-from .nn import Module, Parameter, _ZeroDraws
+from .nn import Conv2d, Module, Parameter, _ZeroDraws
 
 
 @dataclass(frozen=True)
@@ -114,47 +113,43 @@ def quaternion_init(q_in: int, q_out: int, kh: int, kw: int,
     return comp.reshape(4, q_out, q_in, kh, kw)
 
 
-class QuaternionConv2d(Module):
+class QuaternionConv2d(Conv2d):
     """Full quaternion 2-D convolution: q_out x q_in quaternion kernels.
 
-    Input/output channel counts are 4*q_in and 4*q_out; ``weight`` is
-    [q_out, 4, q_in, kh, kw], so the trainable real parameter count is
-    exactly 4 * q_out * q_in * kh * kw (no bias).
+    A :class:`~qaxial.nn.Conv2d` whose ``weight`` is [q_out, 4, q_in, kh, kw]
+    and whose sign table is ``_EXPANSION``.  Input/output channel counts are
+    4*q_in and 4*q_out, and the trainable real parameter count is exactly
+    4 * q_out * q_in * kh * kw (no bias).
     """
+
+    table = _EXPANSION
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0,
                  rng: np.random.Generator | None = None):
-        super().__init__()
         if in_channels % 4 or out_channels % 4:
             raise ConfigurationError(
                 f"quaternion conv needs channel counts divisible by 4, got "
                 f"{in_channels}->{out_channels}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        self.q_in = in_channels // 4
-        self.q_out = out_channels // 4
-        comps = quaternion_init(self.q_in, self.q_out, kernel_size, kernel_size,
-                                rng or np.random.default_rng(0))
-        self.weight = Parameter(np.moveaxis(comps, 0, 1).astype(np.float32, order="C"))
+        super().__init__(in_channels, out_channels, kernel_size, stride, padding, rng)
+        self.q_in, self.q_out = in_channels // 4, out_channels // 4
+
+    def initial_weight(self, rng) -> np.ndarray:
+        k = self.kernel_size
+        comps = quaternion_init(self.in_channels // 4, self.out_channels // 4, k, k, rng)
+        return np.moveaxis(comps, 0, 1).astype(np.float32, order="C")
 
     def expanded_weight(self) -> Tensor:
-        """[4*q_out, 4*q_in, kh, kw] real weight built from the four components;
-        the forward convolves with it when that is the smaller 4x copy."""
+        """[4*q_out, 4*q_in, kh, kw] real weight built from the four components.
+
+        The forward does not call it: :func:`~qaxial.autodiff.conv2d` spreads
+        ``weight`` itself when that is the smaller 4x copy.  The layer equals
+        the real convolution with this weight, so it serves to check one
+        against the other.
+        """
         blocks = ad.signed_blocks(self.weight, _EXPANSION, axes=(1, 3))
         return ad.reshape(blocks, (self.out_channels, self.in_channels,
                                    self.kernel_size, self.kernel_size))
-
-    def forward(self, x):
-        n, _, h, w = x.shape
-        ho, wo = ad._conv_geometry(h, w, self.kernel_size, self.kernel_size,
-                                   self.stride, self.padding)
-        if n * ho * wo >= self.q_out:  # the expanded weight is the smaller 4x copy
-            return ad.conv2d(x, self.expanded_weight(), None, self.stride, self.padding)
-        return ad.conv2d(x, self.weight, None, self.stride, self.padding, _EXPANSION)
 
 
 class QuaternionBank1x1(Module):

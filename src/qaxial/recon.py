@@ -126,6 +126,8 @@ def color_reconstruction_experiment(dataset, epochs: int = 6, seed: int = 0):
     """
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
+    if seed < 0:
+        raise ConfigurationError(f"'seed' must be >= 0, got {seed}")
     (gray_train, target_train), (gray_test, target_test), quat, real = _setup(
         dataset, seed)
     _fit(quat, gray_train, target_train, epochs, seed)

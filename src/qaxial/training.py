@@ -60,6 +60,8 @@ class TrainConfig:
         self.decay_epochs = tuple(int(e) for e in self.decay_epochs)
         if min((self.epochs, self.batch_size, self.warmup_epochs)) < 1:
             raise ConfigurationError("epochs, batch_size, warmup_epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"'seed' must be >= 0, got {self.seed}")
         for key in ("base_lr", "decay_factor", "momentum", "weight_decay"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigurationError(f"'{key}' must be finite, got {getattr(self, key)}")

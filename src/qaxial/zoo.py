@@ -111,9 +111,9 @@ class ArchitectureSpec:
                 f"'input_size' must be (3, H, W) with H, W >= 1, got {self.input_size}")
         if self.heads < 1:
             raise ConfigurationError(f"'heads' must be >= 1, got {self.heads}")
-        if not 0 < self.width_scale < math.inf:
+        if not 0 < self.width_scale * max(_AXIAL_MID_BASE) < math.inf:
             raise ConfigurationError(
-                f"'width_scale' must be finite and > 0, got {self.width_scale}")
+                f"'width_scale' must be > 0 and give finite widths, got {self.width_scale}")
         if not self.is_axial and (self.width_scale, self.heads) != (1.0, 8):
             key = "width_scale" if self.width_scale != 1.0 else "heads"
             raise ConfigurationError(f"'{key}' has no effect on {self.variant}: "
@@ -241,6 +241,8 @@ class Model(Module):
 
     def __init__(self, spec: ArchitectureSpec, seed: int | None = 0):
         super().__init__()
+        if seed is not None and seed < 0:
+            raise ConfigurationError(f"'seed' must be >= 0, got {seed}")
         self.spec = spec
         rng = _ZeroDraws() if seed is None else np.random.default_rng(seed)
         stem_out = spec.stem_channels()

@@ -364,6 +364,36 @@ class TestPools:
         np.add.at(gin, (ni, ci, rows, cols), g)
         npt.assert_array_equal(x.grad, gin[:, :, :8, :8])
 
+    @pytest.mark.parametrize("h,w,size", [(9, 9, (3, 3)), (10, 9, (4, 3))])
+    def test_max_pool_drops_a_last_window_past_the_edge(self, h, w, size):
+        # ceil mode counts a window at index 9 of a 9-wide input; like PyTorch,
+        # the pool drops it rather than emit a -inf output.  A 10-high input
+        # keeps its window at row 9 (clipped to one row), so one side is padded
+        # while the other stops short of its edge
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(2, 3, h, w)), requires_grad=True)
+        out = ad.max_pool2d(x, 2, 3)
+        assert out.shape == (2, 3, *size) and np.isfinite(out.data).all()
+        g = rng.normal(size=out.shape)
+        want, gin = np.empty(out.shape), np.zeros(x.shape)
+        for oy, ox in np.ndindex(*size):
+            win = x.data[:, :, 3 * oy:3 * oy + 2, 3 * ox:3 * ox + 2]
+            flat = win.reshape(2, 3, -1)
+            want[:, :, oy, ox] = flat.max(axis=2)
+            first = flat.argmax(axis=2)
+            ni, ci = np.indices((2, 3))
+            rows, cols = 3 * oy + first // win.shape[3], 3 * ox + first % win.shape[3]
+            np.add.at(gin, (ni, ci, rows, cols), g[:, :, oy, ox])
+        npt.assert_array_equal(out.data, want)
+        out._backward_fn(g)
+        assert x.grad.shape == x.shape
+        npt.assert_array_equal(x.grad, gin)
+        assert np.count_nonzero(x.grad) == g.size
+
+    def test_max_pool_kernel_below_one_raises(self):
+        with pytest.raises(ContractError, match="kernel"):
+            ad.max_pool2d(Tensor(np.zeros((1, 1, 4, 4))), 0, 1)
+
 
 class TestBackward:
     def test_sum_grad_is_ones(self):
@@ -577,6 +607,45 @@ class TestQuaternionConv2dOp:
                         stride=2, padding=1, table=_EXPANSION).data
         want = naive_conv2d(x, expand_quaternion_weight(comps), b, stride=2, padding=1)
         npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_grad_check_on_the_signed_columns(self, k):
+        # batch 1 on a 2x2 input: N*Ho*Wo = 4 (k 1) or 1 (k 3) is below
+        # q_out = 5, so the op signs the im2col columns and keeps the weight
+        # itself as its parent instead of spreading it
+        size = (2 + 2 - k) // 2 + 1
+        proj = rand((1, 20, size, size), 26).data
+
+        def f(x, weight, bias):
+            return (ad.conv2d(x, weight, bias, stride=2, padding=1, table=_EXPANSION)
+                    * proj).sum()
+
+        inputs = [rand((1, 8, 2, 2), 27), rand((5, 4, 2, k, k), 28), rand((20,), 29)]
+        out = ad.conv2d(*inputs, stride=2, padding=1, table=_EXPANSION)
+        assert out._parents[1] is inputs[1]
+        assert grad_check(f, inputs) < 1e-6
+
+    def test_bias_on_the_signed_columns(self):
+        # N*Ho*Wo = 2 < q_out = 3
+        rng = np.random.default_rng(30)
+        x, comps, b = (rng.normal(size=(2, 8, 2, 2)), rng.normal(size=(4, 3, 2, 3, 3)),
+                       rng.normal(size=(12,)))
+        weight = Tensor(np.moveaxis(comps, 0, 1), requires_grad=True)
+        out = ad.conv2d(Tensor(x), weight, Tensor(b), stride=2, padding=1, table=_EXPANSION)
+        assert out._parents[1] is weight
+        want = naive_conv2d(x, expand_quaternion_weight(comps), b, stride=2, padding=1)
+        npt.assert_allclose(out.data, want, rtol=1e-10, atol=1e-12)
+
+    def test_4d_weight_under_a_two_row_table(self):
+        # one component, so the rows only flip signs: channel 2q + 1 is the
+        # negated channel 2q; N*Ho*Wo = 18 >= q_out = 3
+        rng = np.random.default_rng(24)
+        x, weight = rng.normal(size=(2, 2, 3, 3)), rng.normal(size=(3, 2, 1, 1))
+        table = (((0, 1.0),), ((0, -1.0),))
+        got = ad.conv2d(Tensor(x), Tensor(weight), table=table).data
+        want = naive_conv2d(x, weight)
+        npt.assert_allclose(got[:, 0::2], want, rtol=1e-12)
+        npt.assert_array_equal(got[:, 1::2], -got[:, 0::2])
 
     def test_table_row_must_use_each_component_once(self):
         x, weight = rand((1, 8, 3, 3), 0), rand((1, 4, 2, 1, 1), 1)

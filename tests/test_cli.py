@@ -182,6 +182,21 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--variant", "resnet", "--data", SMOKE_DATA, "--config", "seed.cfg"],
+        ["train", "--variant", "resnet", "--data", SMOKE_DATA, "--seed", "-1"],
+        ["train", "--variant", "resnet", "--data", "synthetic://classes=4,seed=-1"],
+        ["bench", "--variant", "resnet", "--seed", "-1"],
+        ["recon-demo", "--data", "synthetic://classes=2,per_class=5,size=8", "--seed", "-1"],
+    ], ids=["config", "train", "synthetic", "bench", "recon-demo"])
+    def test_negative_seed_exits_1(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "seed.cfg").write_text("seed = -1\n")
+        assert main(argv + (["--out", "run"] if argv[0] == "train" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'seed'" in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestGradCheckCommand:
     def test_single_module_ok(self, capsys):

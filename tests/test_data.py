@@ -133,6 +133,10 @@ class TestSyntheticDataset:
         npt.assert_array_equal(a.images, b.images)
         npt.assert_array_equal(a.labels, b.labels)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="'seed'"):
+            synthetic_classification_dataset(4, 5, 16, seed=-1)
+
     def test_shapes_and_counts(self):
         data = synthetic_classification_dataset(10, 50, 32, seed=0)
         assert data.images.shape == (500, 3, 32, 32)

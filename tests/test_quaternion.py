@@ -6,7 +6,7 @@ import pytest
 
 from qaxial.autodiff import Tensor, backward, conv2d, grad_check
 from qaxial.errors import ConfigurationError, ContractError, ShapeError
-from qaxial.nn import Parameter
+from qaxial.nn import Conv2d, Parameter
 from qaxial.quaternion import (
     _EXPANSION,
     IDENTITY,
@@ -158,8 +158,8 @@ class TestQuaternionConv2d:
         layer = QuaternionConv2d(8, 12, k, stride, padding, rng=rng).to_dtype(np.float64)
         x = rng.normal(size=(3, 8, 5, 6))
         results = []
-        # the layer itself takes the expanded-weight side at N*Ho*Wo >= q_out,
-        # so the signed-column side is called explicitly
+        # conv2d under the table spreads the weight itself at these shapes
+        # (N*Ho*Wo >= q_out); TestConvSides also runs the signed columns
         for run in (lambda t: conv2d(t, layer.weight, None, stride, padding, _EXPANSION),
                     lambda t: conv2d(t, layer.expanded_weight(), None, stride, padding)):
             xt = Tensor(x, requires_grad=True)
@@ -288,15 +288,95 @@ class TestExpansionTape:
         assert expanded not in _closure_sizes(out)
 
     def test_conv_forward_at_threshold_expands_the_weight_not_the_columns(self):
-        # N*Ho*Wo >= q_out = 3: the expanded weight is the smaller 4x copy.  At
-        # N*Ho*Wo = 3 the two copies are the same size, and the weight is built
+        # N*Ho*Wo >= q_out = 3: the spread weight is the smaller 4x copy.  At
+        # N*Ho*Wo = 3 the two copies are the same size, and the weight is
+        # spread; conv2d takes the spread as its parent, with no reshape node
         layer = QuaternionConv2d(8, 12, 3, padding=1)
         at = layer(Tensor(np.ones((1, 8, 1, 3), dtype=np.float32)))
-        assert _tape_ops(at) == ["conv2d", "reshape", "signed_blocks"]
+        assert _tape_ops(at) == ["conv2d", "signed_blocks"]
         above = layer(Tensor(np.ones((2, 8, 4, 4), dtype=np.float32)))
-        assert _tape_ops(above) == ["conv2d", "reshape", "signed_blocks"]
+        assert _tape_ops(above) == ["conv2d", "signed_blocks"]
         signed_columns = 4 * layer.in_channels * 3 * 3 * 2 * 4 * 4
         assert signed_columns not in _closure_sizes(above)
+
+
+class TestConvSides:
+    """``conv2d`` spreads the weight when N*Ho*Wo >= q_out and signs the im2col
+    columns below it; the layer is a ``Conv2d`` that only passes its table."""
+
+    # (n, h, w, k, stride, padding) against q_out = 6: N*Ho*Wo = 4, 5 below,
+    # 6 at (batch 3, and a 1x1 kernel), 12 and 24 above
+    SHAPES = [(1, 3, 3, 3, 2, 1), (1, 1, 5, 3, 1, 1), (3, 1, 2, 3, 1, 1),
+              (1, 1, 6, 1, 1, 0), (3, 3, 4, 3, 2, 1), (2, 5, 6, 3, 1, 0)]
+
+    @staticmethod
+    def sides(layer, x, proj):
+        """Output, input gradient and weight gradient of ``(conv(x) * proj).sum()``
+        for the layer, the real conv on ``expanded_weight()`` and the signed
+        columns; the last gets zero output quaternions until q_out > N*Ho*Wo."""
+        n, q_out, k = x.shape[0], layer.q_out, layer.kernel_size
+        conv = dict(stride=layer.stride, padding=layer.padding)
+        q_pad = max(q_out, n * proj.shape[2] * proj.shape[3] + 1)
+        padded = Tensor(np.zeros((q_pad, 4, layer.q_in, k, k), dtype=x.dtype),
+                        requires_grad=True)
+        padded.data[:q_out] = layer.weight.data
+        proj_pad = np.zeros((n, 4 * q_pad, *proj.shape[2:]), dtype=x.dtype)
+        proj_pad[:, :4 * q_out] = proj
+        runs = {
+            "layer": (layer, proj, layer.weight),
+            "expanded": (lambda t: conv2d(t, layer.expanded_weight(), **conv), proj,
+                         layer.weight),
+            "columns": (lambda t: conv2d(t, padded, table=_EXPANSION, **conv), proj_pad,
+                        padded),
+        }
+        results = {}
+        for name, (run, p, weight) in runs.items():
+            xt = Tensor(x, requires_grad=True)
+            out = run(xt)
+            backward((out * Tensor(p)).sum())
+            results[name] = [out.data[:, :4 * q_out].tobytes(), xt.grad.tobytes(),
+                             weight.grad[:q_out].tobytes()]
+            weight.zero_grad()
+        return results
+
+    @staticmethod
+    def layer_and_input(shape, dtype, draw):
+        n, h, w, k, stride, padding = shape
+        layer = QuaternionConv2d(8, 24, k, stride, padding, rng=np.random.default_rng(41))
+        layer.to_dtype(dtype)
+        layer.weight.data[...] = draw(layer.weight.shape)
+        x = draw((n, 8, h, w)).astype(dtype)
+        ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+        return layer, x, draw((n, 24, ho, wo)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layer_runs_the_side_the_threshold_picks(self, shape, dtype):
+        # at and above the threshold both run one GEMM on the same bytes
+        rng = np.random.default_rng(42)
+        layer, x, proj = self.layer_and_input(shape, dtype, lambda s: rng.normal(size=s))
+        results = self.sides(layer, x, proj)
+        if shape[0] * proj.shape[2] * proj.shape[3] >= layer.q_out:
+            assert results["layer"] == results["expanded"]
+        else:
+            assert results["layer"] == results["columns"]
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_all_sides_agree_on_exact_data(self, shape, dtype):
+        # small integers add up exactly in any order, so the bits check where
+        # each side puts every product and sign, not how it rounds
+        rng = np.random.default_rng(43)
+        layer, x, proj = self.layer_and_input(
+            shape, dtype, lambda s: rng.integers(-2, 3, size=s).astype(dtype))
+        results = self.sides(layer, x, proj)
+        assert results["layer"] == results["expanded"] == results["columns"]
+
+    def test_is_a_conv2d_with_its_own_table(self):
+        layer = QuaternionConv2d(8, 12, 3)
+        assert isinstance(layer, Conv2d)
+        assert layer.table is _EXPANSION
+        assert "forward" not in vars(QuaternionConv2d)
 
 
 class TestQuaternionInit:

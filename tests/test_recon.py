@@ -39,6 +39,11 @@ class TestParameterMatch:
         with pytest.raises(ConfigurationError, match="epochs must be >= 1"):
             color_reconstruction_experiment(data, epochs=epochs)
 
+    def test_negative_seed_rejected(self):
+        data = synthetic_classification_dataset(4, 10, 8, seed=0)
+        with pytest.raises(ConfigurationError, match="'seed'"):
+            color_reconstruction_experiment(data, epochs=1, seed=-1)
+
 
 class TestExperiment:
     def test_initial_mse_near_target_variance(self):

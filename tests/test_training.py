@@ -237,7 +237,8 @@ class TestSchedule:
     @pytest.mark.parametrize("line", ["base_lr = nan", "base_lr = inf", "decay_factor = nan",
                                       "momentum = inf", "weight_decay = nan",
                                       "momentum = -1", "weight_decay = -5",
-                                      "decay_epochs = 50,20", "decay_epochs = 20,20"])
+                                      "decay_epochs = 50,20", "decay_epochs = 20,20",
+                                      "seed = -1"])
     def test_config_text_out_of_range_value_names_key(self, line):
         with pytest.raises(ConfigurationError, match=f"'{line.split()[0]}'"):
             TrainConfig.from_text(line)

@@ -123,7 +123,7 @@ class TestSpec:
         ("resnet", "input_size = 3x0x0"), ("quat_resnet", "input_size = 3x0x0"),
         ("axial", "input_size = 3x0x0"), ("quat_axial", "input_size = 3x0x0"),
         ("resnet", "input_size = 3x-4x-4"), ("resnet", "num_classes = 1"),
-        ("axial", "multipliers = 1,2,0,1"),
+        ("axial", "multipliers = 1,2,0,1"), ("axial", "width_scale = 1e308"),
     ])
     def test_text_out_of_range_value_names_key(self, variant, line):
         key = line.split()[0]
@@ -237,13 +237,9 @@ class TestTrainingStepTape:
         return (rng.normal(size=(10, 3, 32, 32)).astype(np.float32),
                 np.arange(10) % 10)
 
-    def test_tape_op_node_count(self):
-        # each axial layer records 3 projection matmuls, one axial_attention
-        # node and the output matmul; the composed attention recorded 392
-        # nodes here, and 172 while the layer split and merged its heads
-        # with four reshape nodes
+    def tape_nodes(self, variant):
         x, labels = self.batch()
-        loss = ad.cross_entropy(build(small_spec("quat_axial"))(Tensor(x)), labels)
+        loss = ad.cross_entropy(build(small_spec(variant))(Tensor(x)), labels)
         seen, todo, ops = set(), [loss], 0
         while todo:
             node = todo.pop()
@@ -252,7 +248,20 @@ class TestTrainingStepTape:
             seen.add(id(node))
             ops += bool(node._parents)
             todo.extend(node._parents)
-        assert ops == 140
+        return ops
+
+    def test_tape_op_node_count(self):
+        # each axial layer records 3 projection matmuls, one axial_attention
+        # node and the output matmul; the composed attention recorded 392
+        # nodes here, and 172 while the layer split and merged its heads
+        # with four reshape nodes
+        assert self.tape_nodes("quat_axial") == 140
+
+    def test_quat_resnet_tape_op_node_count(self):
+        # each quaternion conv records conv2d on its spread weight, and the
+        # spread (signed_blocks) where N*Ho*Wo >= q_out; 73 while the layer
+        # reshaped the spread weight into a 4-D one with its own node
+        assert self.tape_nodes("quat_resnet") == 65
 
     def test_nan_pixel_gives_non_finite_logits(self):
         # train-mode batch norm spreads one NaN over its channel; relu must
@@ -368,6 +377,10 @@ class TestSummarize:
         assert (hashlib.sha256(pooled.tobytes()).hexdigest(), float(pooled[0, 0]).hex()) == (
             "4485ea2df6f6f99ea9b92b6996668e5907693e119e7d43b0e4a502c2c7dda378",
             "0x1.e954540000000p+0")
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ConfigurationError, match="'seed'"):
+            build(small_spec("resnet"), seed=-1)
 
     def test_deterministic_build(self):
         a = build(small_spec("axial"), seed=7)
