@@ -27,7 +27,7 @@ class DegenerateBatchError(QaxialError, ValueError):
 
 class NumericsError(QaxialError, ArithmeticError):
     """A forward op produced NaN/Inf while debug checks were enabled, or a
-    model scored by ``evaluate`` gave non-finite logits."""
+    model scored by ``evaluate`` gave non-finite outputs or metric total."""
 
 
 class OracleError(QaxialError, RuntimeError):
@@ -45,6 +45,9 @@ class TrainingDivergedError(QaxialError, RuntimeError):
         super().__init__(f"loss diverged (NaN/Inf) at epoch {epoch}, step {step}")
         self.epoch = epoch
         self.step = step
+
+    def __reduce__(self):  # pickle by (epoch, step), so it crosses processes
+        return type(self), (self.epoch, self.step)
 
 
 class DataFormatError(QaxialError, ValueError):

@@ -10,14 +10,16 @@ channels at the same parameter count.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, NumericsError, TrainingDivergedError
+from .errors import ConfigurationError
 from .nn import Conv2d, Module, ReLU
 from .quaternion import QuaternionConv2d
-from .training import SGDMomentum
+from .training import TrainConfig, evaluate, squared_error, train
 
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114], dtype=np.float32)
 
@@ -63,41 +65,15 @@ class RealColorizer(Module):
         return self.conv_out(x)
 
 
-def _mse(model, gray, targets):
-    total = 0.0
-    with ad.no_grad():
-        for start in range(0, len(gray), 64):
-            pred = model(Tensor(gray[start:start + 64])).data
-            diff = pred - targets[start:start + 64]
-            error = float((diff * diff).sum())
-            if not np.isfinite(error):  # a non-finite or overflowing prediction
-                raise NumericsError(
-                    f"non-finite held-out error in the batch from sample {start}")
-            total += error
-    return total / targets.size
-
-
-def _fit(model, gray, targets, epochs, seed):
-    opt = SGDMomentum(model.named_parameters(), momentum=0.9, weight_decay=0.0)
-    n = len(gray)
-    for epoch in range(epochs):
-        order = np.random.default_rng([seed, epoch]).permutation(n)
-        for step, start in enumerate(range(0, n, 16)):
-            idx = order[start:start + 16]
-            pred = model(Tensor(gray[idx]))
-            diff = pred - Tensor(targets[idx])
-            loss = (diff * diff).mean()
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(epoch, step)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step(0.05)
-    return model
+def _mean_squared_error(outputs: Tensor, targets: np.ndarray) -> Tensor:
+    diff = outputs - Tensor(targets)
+    return (diff * diff).mean()
 
 
 def _setup(dataset, seed):
-    """(gray, color) train and held-out (last 20%) splits, centered by the
-    training split's means, and the two untrained colorizers."""
+    """Train and held-out (last 20%) splits, each gray ``images`` with color
+    ``labels`` centered by the training split's means, and the two
+    untrained colorizers."""
     images = np.asarray(dataset.images, dtype=np.float32)
     if len(images) < 10:
         raise ConfigurationError("need at least 10 color images")
@@ -109,8 +85,9 @@ def _setup(dataset, seed):
 
     quat = QuaternionColorizer(8, np.random.default_rng([seed, 101]))
     real = RealColorizer(16, np.random.default_rng([seed, 202]))
-    return ((gray_train - gray_mean, train_imgs - color_mean),
-            (to_grayscale(test_imgs) - gray_mean, test_imgs - color_mean), quat, real)
+    return (SimpleNamespace(images=gray_train - gray_mean, labels=train_imgs - color_mean),
+            SimpleNamespace(images=to_grayscale(test_imgs) - gray_mean,
+                            labels=test_imgs - color_mean), quat, real)
 
 
 def color_reconstruction_experiment(dataset, epochs: int = 6, seed: int = 0):
@@ -118,26 +95,26 @@ def color_reconstruction_experiment(dataset, epochs: int = 6, seed: int = 0):
 
     The quaternion colorizer has 8 quaternion (32 real) channels and the real
     one 16, so both budgets are exactly 36*8**2 + 72*8 = 2880 weights.  Both
-    train with SGD, momentum 0.9, lr 0.05 and batch 16.  Inputs and color
-    targets are centered by training-split channel means, so an untrained
-    (near-zero output) model scores roughly the target variance.  A non-finite
-    batch loss raises ``TrainingDivergedError`` before its step, and a
-    non-finite held-out error ``NumericsError``.
+    train through :func:`training.train` on the mean squared error, with
+    SGD, momentum 0.9, a constant lr 0.05 and batch 16, and are scored by
+    :func:`training.evaluate` with :func:`training.squared_error`.  Inputs
+    and color targets are centered by training-split channel means, so an
+    untrained (near-zero output) model scores roughly the target variance.
+    A non-finite batch loss raises ``TrainingDivergedError`` before its
+    step, and a non-finite held-out error ``NumericsError``.
     """
-    if epochs < 1:
-        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-    if seed < 0:
-        raise ConfigurationError(f"'seed' must be >= 0, got {seed}")
-    (gray_train, target_train), (gray_test, target_test), quat, real = _setup(
-        dataset, seed)
-    _fit(quat, gray_train, target_train, epochs, seed)
-    _fit(real, gray_train, target_train, epochs, seed)
-    return _mse(quat, gray_test, target_test), _mse(real, gray_test, target_test)
+    config = TrainConfig(epochs, batch_size=16, base_lr=0.05, warmup_epochs=1,
+                         decay_epochs=(), momentum=0.9, weight_decay=0.0, seed=seed)
+    train_split, test_split, quat, real = _setup(dataset, seed)
+    for model in (quat, real):
+        train(model, train_split, None, config, loss_fn=_mean_squared_error,
+              metric=squared_error)
+    return evaluate(quat, test_split, squared_error), evaluate(real, test_split, squared_error)
 
 
 def initial_mse_ratio(dataset, seed: int = 0):
     """(quat, real) untrained held-out MSE divided by target variance."""
-    _, (gray_test, target_test), quat, real = _setup(dataset, seed)
-    variance = float((target_test ** 2).mean())
-    return (_mse(quat, gray_test, target_test) / variance,
-            _mse(real, gray_test, target_test) / variance)
+    _, test_split, quat, real = _setup(dataset, seed)
+    variance = float((test_split.labels ** 2).mean())
+    return (evaluate(quat, test_split, squared_error) / variance,
+            evaluate(real, test_split, squared_error) / variance)

@@ -59,7 +59,9 @@ class TrainConfig:
     def __post_init__(self):
         self.decay_epochs = tuple(int(e) for e in self.decay_epochs)
         if min((self.epochs, self.batch_size, self.warmup_epochs)) < 1:
-            raise ConfigurationError("epochs, batch_size, warmup_epochs must be >= 1")
+            raise ConfigurationError(
+                "epochs, batch_size, warmup_epochs must be >= 1, got "
+                f"{self.epochs}, {self.batch_size}, {self.warmup_epochs}")
         if self.seed < 0:
             raise ConfigurationError(f"'seed' must be >= 0, got {self.seed}")
         for key in ("base_lr", "decay_factor", "momentum", "weight_decay"):
@@ -202,34 +204,59 @@ def _batches(count: int, batch_size: int, rng: np.random.Generator | None):
         yield order[start:start + batch_size]
 
 
-def evaluate(model: Model, data) -> float:
-    """Top-1 accuracy with eval-mode batch norm, in batches of 64;
-    deterministic.  Non-finite logits raise :class:`NumericsError`."""
+def top1(outputs: np.ndarray, labels) -> tuple[int, int]:
+    """(argmax hits, count) of a batch of logits: summed over batches, the
+    first over the second is top-1 accuracy."""
+    return int((outputs.argmax(axis=1) == labels).sum()), len(labels)
+
+
+def squared_error(outputs: np.ndarray, targets: np.ndarray) -> tuple[float, int]:
+    """(sum of squared differences, element count) of a batch: summed over
+    batches, the first over the second is the mean squared error."""
+    d = outputs - targets
+    return float((d * d).sum()), d.size
+
+
+def evaluate(model: Model, data, metric=top1) -> float:
+    """``metric`` over ``data`` with eval-mode batch norm, in batches of 64:
+    the batches' totals summed over their counts summed (top-1 accuracy by
+    default); deterministic.  ``data`` needs ``images`` and ``labels``, the
+    targets ``metric`` reads.  Non-finite outputs or a non-finite total
+    raise :class:`NumericsError` naming the batch."""
     if len(data.labels) == 0:
         raise ContractError("evaluate needs a non-empty dataset")
     was_training = model.training
     model.eval()
-    hits = 0
+    total = count = 0
     try:
         with ad.no_grad():
             for idx in _batches(len(data.labels), 64, rng=None):
-                logits = model(Tensor(data.images[idx]))
-                if not np.isfinite(logits.data).all():
+                outputs = model(Tensor(data.images[idx])).data
+                batch_total, batch_count = metric(outputs, data.labels[idx])
+                total += batch_total
+                count += batch_count
+                if not (np.isfinite(outputs).all() and math.isfinite(total)):
                     raise NumericsError(
-                        f"non-finite logits in the evaluation batch from sample {idx[0]}")
-                hits += int((logits.data.argmax(axis=1) == data.labels[idx]).sum())
+                        f"non-finite outputs or total in the evaluation batch from sample {idx[0]}")
     finally:
         model.train(was_training)
-    return hits / len(data.labels)
+    return total / count
 
 
 def train(model: Model, train_data, val_data, config: TrainConfig,
           out_dir=None, augment=None, optimizer: SGDMomentum | None = None,
-          start_epoch: int = 0) -> TrainHistory:
+          start_epoch: int = 0, loss_fn=None, metric=top1) -> TrainHistory:
     """Run the epoch loop from ``start_epoch`` to ``config.epochs``.
 
-    ``augment``, when given, is called as ``augment(images, rng)`` on each
-    training batch.  After every epoch ``out_dir/history.csv`` (the earlier
+    Each batch steps on ``loss_fn(outputs, labels)``, a one-element tensor
+    (``autodiff.cross_entropy``, looked up at the call, by default), and
+    adds ``metric(outputs, labels)`` into the epoch's ``train_top1`` as
+    :func:`evaluate` does; ``val_top1`` is ``evaluate(model, val_data,
+    metric)``, or 0 without ``val_data``.  A non-finite batch loss raises
+    :class:`TrainingDivergedError` before its step.  ``augment``, when
+    given, is called as ``augment(images, rng)`` on each training batch.
+
+    After every epoch ``out_dir/history.csv`` (the earlier
     run's rows before ``start_epoch``, then this call's) and then
     ``out_dir/checkpoint.qx`` are written, so an interrupted run resumes
     with its history whole.  Returns this call's epochs only.  Fixed seed
@@ -249,6 +276,7 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
             # byte that is not UTF-8 decodes to U+FFFD, which from_csv refuses
             text = history_path.read_text(errors="replace")
             kept = [r for r in TrainHistory.from_csv(text).records if r.epoch < start_epoch]
+    loss_fn = loss_fn or ad.cross_entropy
     n = len(train_data.labels)
     model.train()
     for epoch in range(start_epoch, config.epochs):
@@ -257,24 +285,25 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
         shuffle_rng = np.random.default_rng([config.seed, epoch])
         augment_rng = np.random.default_rng([config.seed, epoch, 1])
         loss_sum = 0.0
-        seen = 0
-        hits = 0
+        total = count = 0
         for step, idx in enumerate(_batches(n, config.batch_size, shuffle_rng)):
-            images = train_data.images[idx]
+            images, labels = train_data.images[idx], train_data.labels[idx]
             if augment is not None:
                 images = augment(images, augment_rng)
-            logits = model(Tensor(images))
-            loss = ad.cross_entropy(logits, train_data.labels[idx])
-            if not np.isfinite(loss.data):
+            outputs = model(Tensor(images))
+            loss = loss_fn(outputs, labels)
+            value = loss.item()
+            if not math.isfinite(value):
                 raise TrainingDivergedError(epoch, step)
             optimizer.zero_grad()
             ad.backward(loss)
             optimizer.step(lr)
-            loss_sum += float(loss.data) * len(idx)
-            hits += int((logits.data.argmax(axis=1) == train_data.labels[idx]).sum())
-            seen += len(idx)
-        val_top1 = evaluate(model, val_data) if val_data is not None else 0.0
-        history.append(EpochRecord(epoch, lr, loss_sum / seen, hits / seen,
+            loss_sum += value * len(idx)
+            batch_total, batch_count = metric(outputs.data, labels)
+            total += batch_total
+            count += batch_count
+        val_top1 = evaluate(model, val_data, metric) if val_data is not None else 0.0
+        history.append(EpochRecord(epoch, lr, loss_sum / n, total / count,
                                    val_top1, time.perf_counter() - started))
         if out_dir is not None:
             # history first: a crash between the writes leaves one extra

@@ -18,7 +18,6 @@ spans follow the actual incoming feature-map size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -46,6 +45,9 @@ DEPTH_MULTIPLIERS = {26: (1, 2, 4, 1), 35: (2, 3, 4, 2), 50: (3, 4, 6, 3)}
 _CONV_MIDS = (64, 128, 256, 512)
 _QUAT_MIDS = (128, 256, 512, 1024)
 _AXIAL_MID_BASE = (128, 256, 512, 1024)
+# the widest channel count or class count a spec may ask for: 4x quat_resnet's
+# widest layer (4096), and far below numpy's dimension and memory limits
+MAX_CHANNELS = 2 ** 14
 
 
 @dataclass
@@ -102,18 +104,19 @@ class ArchitectureSpec:
         if len(self.block_multipliers) != 4 or min(self.block_multipliers) < 1:
             raise ConfigurationError(
                 f"'multipliers' must be 4 integers >= 1, got {self.block_multipliers}")
-        if self.num_classes < 2:
+        if not 2 <= self.num_classes <= MAX_CHANNELS:
             raise ConfigurationError(
-                f"'num_classes' must be >= 2, got {self.num_classes}")
+                f"'num_classes' must be in [2, {MAX_CHANNELS}], got {self.num_classes}")
         if len(self.input_size) != 3 or self.input_size[0] != 3 \
                 or min(self.input_size) < 1:
             raise ConfigurationError(
                 f"'input_size' must be (3, H, W) with H, W >= 1, got {self.input_size}")
         if self.heads < 1:
             raise ConfigurationError(f"'heads' must be >= 1, got {self.heads}")
-        if not 0 < self.width_scale * max(_AXIAL_MID_BASE) < math.inf:
-            raise ConfigurationError(
-                f"'width_scale' must be > 0 and give finite widths, got {self.width_scale}")
+        widest = 2 * self.width_scale * max(_AXIAL_MID_BASE)  # axial group 4's out
+        if not 0 < widest <= MAX_CHANNELS:
+            raise ConfigurationError(f"'width_scale' must be > 0 and give at most "
+                                     f"{MAX_CHANNELS} channels, got {self.width_scale}")
         if not self.is_axial and (self.width_scale, self.heads) != (1.0, 8):
             key = "width_scale" if self.width_scale != 1.0 else "heads"
             raise ConfigurationError(f"'{key}' has no effect on {self.variant}: "

@@ -38,6 +38,7 @@ from qaxial.training import (
 from qaxial.zoo import ArchitectureSpec, build, count_layers, count_params, spec_for
 
 from oracles import dense_attention_1d, naive_conv2d, unit_table_matrix
+from parallel import map_seeds
 
 PUBLISHED = [
     ("resnet", 26, 13.6e6, 0.03), ("quat_resnet", 26, 15.1e6, 0.05),
@@ -267,12 +268,15 @@ def test_criterion_09_smoke_training():
               f"loss@1 {records[0].train_loss:.3f}")
 
 
+def criterion_10_run(seed):
+    data = synthetic_classification_dataset(10, 120, 16, seed=0)  # 1200 images
+    return color_reconstruction_experiment(data, epochs=6, seed=seed)
+
+
 def test_criterion_10_color_reconstruction_directional():
     # soft criterion: a failure here means "investigate", not auto-reject;
-    # measured values are printed either way
-    data = synthetic_classification_dataset(10, 120, 16, seed=0)  # 1200 images
-    pairs = [color_reconstruction_experiment(data, epochs=6, seed=seed)
-             for seed in (0, 1, 2)]
+    # measured values are printed either way.  The seeds are independent runs.
+    pairs = map_seeds(criterion_10_run, (0, 1, 2))
     quat_median = sorted(q for q, _ in pairs)[1]
     real_median = sorted(r for _, r in pairs)[1]
     message = (f"median held-out MSE quaternion {quat_median:.5f} vs real "

@@ -56,6 +56,15 @@ class TestUsageErrors:
         assert code == 1
         assert "'width_scale'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,key", [
+        (["--variant", "axial", "--width-scale", "1e30"], "'width_scale'"),
+        (["--variant", "resnet", "--classes", str(10 ** 30)], "'num_classes'"),
+    ], ids=["width-1e30", "classes-1e30"])
+    def test_count_params_refuses_sizes_numpy_cannot_allocate(self, flags, key, capsys):
+        assert main(["count-params"] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     def test_count_params_takes_no_seed(self, capsys):
         # it builds without drawing values, so a seed could not change its output
         assert main(["count-params", "--variant", "resnet", "--seed", "1"]) == 2

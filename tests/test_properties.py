@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qaxial import fields
 from qaxial.errors import QaxialError
 from qaxial.training import TrainConfig
-from qaxial.zoo import SPEC_CASTS, VARIANTS, spec_from_text, spec_to_text
+from qaxial.zoo import MAX_CHANNELS, SPEC_CASTS, VARIANTS, spec_from_text, spec_to_text
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
                              database=None)
@@ -39,6 +39,8 @@ VALUES = st.one_of(
 @example(variant="axial", overrides={"heads": "0"})
 @example(variant="quat_axial", overrides={"width_scale": "nan"})
 @example(variant="resnet", overrides={"input_size": "3x0x0"})
+@example(variant="axial", overrides={"width_scale": "1e30"})
+@example(variant="resnet", overrides={"num_classes": "1000000000000000000000000000000"})
 def test_spec_from_text_returns_a_valid_spec_or_refuses(variant, overrides):
     axial = variant in ("axial", "quat_axial")
     base = {"variant": variant, "multipliers": "1,1,1,1",
@@ -49,6 +51,8 @@ def test_spec_from_text_returns_a_valid_spec_or_refuses(variant, overrides):
     except QaxialError:
         return
     spec.validate()
+    widths = [spec.stem_channels()] + [c for pair in spec.group_plan() for c in pair]
+    assert max(widths + [spec.num_classes]) <= MAX_CHANNELS  # a size build can allocate
     assert spec_from_text(spec_to_text(spec)) == spec
 
 

@@ -58,6 +58,18 @@ class TestExperiment:
         second = color_reconstruction_experiment(data, epochs=1, seed=5)
         assert first == second
 
+    def test_two_epoch_run_is_pinned(self):
+        # taken from the colour run's own loop before it trained through
+        # training.train: shuffle, schedule, loss, step and scoring keep every bit
+        data = synthetic_classification_dataset(4, 20, 8, seed=2)
+        quat, real = color_reconstruction_experiment(data, epochs=2, seed=5)
+        assert (quat.hex(), real.hex()) == ("0x1.4575daaaaaaabp-4", "0x1.3dd3755555555p-4")
+
+    def test_initial_ratio_is_pinned(self):
+        data = synthetic_classification_dataset(6, 40, 12, seed=1)
+        quat, real = initial_mse_ratio(data)
+        assert (quat.hex(), real.hex()) == ("0x1.fdb00662e1a7dp-1", "0x1.00aab4f47bd18p+0")
+
     def test_training_lowers_mse_below_initial(self):
         data = synthetic_classification_dataset(6, 50, 12, seed=3)
         n_test = len(data.images) // 5

@@ -2,6 +2,7 @@ import hashlib
 import re
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -31,6 +32,8 @@ from qaxial.training import (
     evaluate,
     lr_schedule,
     sgd_momentum_step,
+    squared_error,
+    top1,
     train,
 )
 from qaxial.zoo import ArchitectureSpec, build
@@ -399,6 +402,44 @@ class TestTrainLoop:
             train(model, data, None, config)
         assert err.value.epoch == 0 and err.value.step == 0
 
+    def test_default_loss_is_looked_up_at_each_call(self, monkeypatch):
+        # perfbench's step clock ends each forward by replacing
+        # autodiff.cross_entropy, so train must call the module's current one
+        original = ad.cross_entropy
+        batches = []
+
+        def counting(logits, labels):
+            batches.append(len(labels))
+            return original(logits, labels)
+
+        monkeypatch.setattr(ad, "cross_entropy", counting)
+        rng = np.random.default_rng(3)
+        data = Dataset(rng.normal(size=(20, 1, 2, 2)).astype(np.float32),
+                       np.arange(20) % 2, 2)
+        config = TrainConfig(epochs=2, batch_size=8, base_lr=0.01,
+                             warmup_epochs=1, decay_epochs=(), seed=1)
+        train(SmoothModel(4, 2), data, data, config)
+        assert batches == [8, 8, 4] * 2  # once a step, never in evaluate
+
+    def test_loss_fn_and_metric_replace_cross_entropy_and_top1(self, monkeypatch):
+        def refuse(logits, labels):
+            raise AssertionError("cross_entropy called")
+
+        def mse(outputs, targets):
+            diff = outputs - Tensor(targets)
+            return (diff * diff).mean()
+
+        monkeypatch.setattr(ad, "cross_entropy", refuse)
+        rng = np.random.default_rng(4)
+        data = SimpleNamespace(images=rng.normal(size=(12, 1, 2, 2)).astype(np.float32),
+                               labels=rng.normal(size=(12, 3)).astype(np.float32))
+        model = SmoothModel(4, 3)
+        config = TrainConfig(epochs=2, batch_size=5, base_lr=0.01,
+                             warmup_epochs=1, decay_epochs=(), seed=2)
+        history = train(model, data, data, config, loss_fn=mse, metric=squared_error)
+        assert history[-1].val_top1 == evaluate(model, data, squared_error)
+        assert 0 < history[-1].train_top1 < history[0].train_top1
+
     def test_history_csv_round_trip(self):
         history = TrainHistory()
         from qaxial.training import EpochRecord
@@ -468,6 +509,38 @@ class TestEvaluate:
         data = Dataset(images, np.arange(100) % 2, 2)
         with pytest.raises(NumericsError, match="from sample 64$"):  # batches of 64
             evaluate(PixelLogits(), data)
+
+
+class Identity(Module):
+    def forward(self, x):
+        return x
+
+
+def regression_data(images, seed=0):
+    """Images whose targets have their shape, as the colour runs use."""
+    rng = np.random.default_rng(seed)
+    return SimpleNamespace(images=images,
+                           labels=rng.normal(size=images.shape).astype(images.dtype))
+
+
+class TestMetrics:
+    def test_batch_totals_and_counts(self):
+        logits = np.array([[0.0, 1.0], [2.0, 1.0], [0.0, 3.0]])
+        assert top1(logits, np.array([1, 1, 1])) == (2, 3)
+        assert squared_error(np.array([[1.0, 2.0]]), np.array([[0.0, 4.0]])) == (5.0, 2)
+
+    def test_squared_error_is_the_mean_over_every_element(self):
+        rng = np.random.default_rng(1)
+        data = regression_data(rng.normal(size=(100, 3, 2, 2)), seed=2)
+        want = np.mean((data.images - data.labels) ** 2)
+        assert evaluate(Identity(), data, squared_error) == pytest.approx(want, rel=1e-12)
+
+    def test_overflowing_squared_error_total_raises(self):
+        # finite outputs whose squared differences overflow float32
+        data = regression_data(np.full((70, 1, 1, 2), 1e30, dtype=np.float32))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericsError, match="from sample 0$"):
+            evaluate(Identity(), data, squared_error)
 
 
 class TestCheckpoint:

@@ -8,6 +8,7 @@ from qaxial import autodiff as ad
 from qaxial.autodiff import Tensor, no_grad
 from qaxial.errors import ConfigurationError, ShapeError
 from qaxial.zoo import (
+    MAX_CHANNELS,
     ArchitectureSpec,
     build,
     count_layers,
@@ -124,6 +125,10 @@ class TestSpec:
         ("axial", "input_size = 3x0x0"), ("quat_axial", "input_size = 3x0x0"),
         ("resnet", "input_size = 3x-4x-4"), ("resnet", "num_classes = 1"),
         ("axial", "multipliers = 1,2,0,1"), ("axial", "width_scale = 1e308"),
+        ("axial", "width_scale = 1e30"), ("axial", "width_scale = 1e6"),
+        ("quat_axial", "width_scale = 8.5"),
+        ("resnet", "num_classes = 1000000000000000000000000000000"),
+        ("axial", "num_classes = 16385"),
     ])
     def test_text_out_of_range_value_names_key(self, variant, line):
         key = line.split()[0]
@@ -131,6 +136,13 @@ class TestSpec:
         text = re.sub(f"^{key} = .*$", line, text, flags=re.M)
         with pytest.raises(ConfigurationError, match=f"'{key}'"):
             spec_from_text(text)
+
+    def test_widest_layer_and_class_count_may_reach_the_cap(self):
+        # validated only: a model at the cap holds over a billion weights
+        assert max(ArchitectureSpec("quat_axial", width_scale=8.0).group_plan()[-1]) \
+            == MAX_CHANNELS
+        assert ArchitectureSpec("resnet", num_classes=MAX_CHANNELS).num_classes \
+            == MAX_CHANNELS
 
     def test_stem_spatial(self):
         assert spec_for("axial", 26).stem_spatial() == (56, 56)
