@@ -18,6 +18,7 @@ matmul call, so summation order never depends on scheduling.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -274,10 +275,37 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(data, (a,), backward, "reshape")
 
 
+# bytes of one square tile of a 2-D transpose's copy: 128 x 128 float32
+TRANSPOSE_TILE_BYTES = 64 * 1024
+
+
+def _transposed_copy(a: np.ndarray) -> np.ndarray:
+    """``np.ascontiguousarray(a.T)`` of a C-contiguous 2-D array, by tiles.
+
+    A plain copy reads each column of ``a`` down its rows; when a row is a
+    multiple of 4 KiB long, as in the [1000, 1024] classifier weight, those
+    reads map to the same cache sets and evict one another.  Square tiles of
+    TRANSPOSE_TILE_BYTES keep the rows a tile reads in cache.  A copy moves
+    the bytes unchanged, so the result is the same either way.
+    """
+    rows, cols = a.shape
+    side = math.isqrt(TRANSPOSE_TILE_BYTES // a.itemsize)
+    if rows <= side or cols <= side:  # the strided side fits in cache
+        return np.ascontiguousarray(a.T)
+    out = np.empty((cols, rows), dtype=a.dtype)
+    for i in range(0, rows, side):
+        for j in range(0, cols, side):
+            out[j:j + side, i:i + side] = a[i:i + side, j:j + side].T
+    return out
+
+
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    data = np.ascontiguousarray(a.data.transpose(axes))
+    if axes == (1, 0) and a.data.flags.c_contiguous:
+        data = _transposed_copy(a.data)
+    else:
+        data = np.ascontiguousarray(a.data.transpose(axes))
 
     def backward(g):
         a._accumulate(g.transpose(inverse))
@@ -385,9 +413,18 @@ def take_rows(a: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data <= 0
-    np.logical_not(mask, out=mask)  # NaN passes, so divergence stays visible
-    data = np.where(mask, a.data, a.data.dtype.type(0))
+    """``max(a, 0)``; NaN passes, so divergence stays visible.
+
+    ``np.maximum`` returns a NaN operand itself, payload and all, and its
+    second operand when the two compare equal, so -0.0 comes out as the
+    +0.0 passed second: the bytes of ``np.where(~(a <= 0), a, 0)``.  With the
+    operands swapped, -0.0 would pass.  The mask that backward reads is built
+    only when the node records.
+    """
+    data = np.maximum(a.data, a.data.dtype.type(0))
+    if _records((a,)):
+        mask = a.data <= 0
+        np.logical_not(mask, out=mask)
 
     def backward(g):
         a._accumulate(g * mask)
@@ -802,11 +839,22 @@ def max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
             np.copyto(arg, t, where=hit)
 
     def backward(g):
+        # each tap adds its share into its strided view of the padded input
+        # gradient: g where the tap won and +0.0 elsewhere, by masking g's
+        # bits (g * hit would put NaN where a NaN or inf meets 0).  A sum that
+        # starts at +0.0 is never -0.0, so adding +0.0 changes no bit.  Taps
+        # go in reverse, so each input element sums its windows' shares in
+        # (oy, ox) order, as np.add.at over the windows does
         gin = np.zeros((n, c, hp, wp), dtype=g.dtype)
-        ni, ci, oy, ox = np.indices((n, c, ho, wo))
-        rows = oy * stride + arg // kernel
-        cols_ = ox * stride + arg % kernel
-        np.add.at(gin, (ni, ci, rows, cols_), g)
+        hit = np.empty(arg.shape, dtype=bool)
+        share = np.empty(arg.shape, dtype=f"i{g.itemsize}")
+        for t in range(kernel * kernel - 1, -1, -1):
+            np.equal(arg, t, out=hit)
+            np.negative(hit.view(np.int8), out=share)  # every bit set where hit
+            np.bitwise_and(g.view(share.dtype), share, out=share)
+            ky, kx = divmod(t, kernel)
+            tap = gin[:, :, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride]
+            tap += share.view(g.dtype)
         x._accumulate(gin[:, :, :h, :w])
 
     return _result(out, (x,), backward, "max_pool2d")
@@ -868,9 +916,11 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     The forward keeps two [N,C,H,W] buffers: ``x - mean``, scaled in place
     into the normalized input the backward reads, and one that holds the
-    squared deviations for the variance and then the output.  The mean and
-    variance are computed as numpy's ``mean`` and ``var`` compute them, so
-    they round the same way.  The backward reuses its input-gradient buffer.
+    squared deviations for the variance and then the output.  In eval mode
+    a node that does not record writes its output over the normalized input
+    instead.  The mean and variance are computed as numpy's ``mean`` and
+    ``var`` compute them, so they round the same way.  The backward reuses
+    its input-gradient buffer.
     """
     if x.ndim != 4:
         raise ShapeError("batch_norm2d expects 4-D input")
@@ -893,7 +943,9 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var += 0.1 * var.reshape(c) * (m / (m - 1))  # unbiased for the buffer
     else:
         xhat = np.subtract(x.data, running_mean.astype(x.dtype).reshape(1, c, 1, 1))
-        out = np.empty_like(xhat)
+        # no backward reads xhat unless the node records, so the output may
+        # overwrite it: the same operations on the same operands, one buffer
+        out = np.empty_like(xhat) if _records((x, gamma, beta)) else xhat
         var = running_var.astype(x.dtype).reshape(1, c, 1, 1)
 
     inv_std = 1.0 / np.sqrt(var + 1e-5)

@@ -105,22 +105,41 @@ def lr_schedule(config: TrainConfig, epoch: int) -> float:
     return config.base_lr * config.decay_factor ** cuts
 
 
+# bytes of one array's chunk of the SGD update (32768 float32 values): the
+# chunk's param, grad, velocity and scratch stay in a core's L2 cache through
+# all six passes
+SGD_CHUNK_BYTES = 128 * 1024
+
+
 def sgd_momentum_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
                       lr: float, momentum: float, weight_decay: float) -> None:
-    """In-place update: v <- m*v + (grad + wd*param); param <- param - lr*v."""
+    """In-place update: v <- m*v + (grad + wd*param); param <- param - lr*v.
+
+    Runs chunk by chunk, each chunk about SGD_CHUNK_BYTES of whole rows
+    along axis 0.  Every op is elementwise, so each value sees the same
+    operations on the same operands as one pass over the whole array would
+    give it.  Slices on axis 0 are views whatever the layout, so the update
+    lands in ``param`` and ``velocity`` even when an array is not contiguous
+    (a flattening reshape would copy one and lose the update).
+    """
     if param.shape != grad.shape or param.shape != velocity.shape:
         raise ContractError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, "
             f"velocity {velocity.shape}")
-    s = np.empty_like(param)  # one scratch array for every product
-    velocity *= momentum
-    if weight_decay:
-        np.multiply(weight_decay, param, out=s)
-        s += grad
-        velocity += s
-    else:
-        velocity += grad
-    param -= np.multiply(lr, velocity, out=s)
+    param, grad, velocity = np.atleast_1d(param, grad, velocity)  # views
+    rows = max(1, SGD_CHUNK_BYTES // max(1, param[0:1].nbytes))
+    scratch = np.empty_like(param[:rows])  # one scratch chunk for every product
+    for a in range(0, len(param), rows):
+        p, g, v = param[a:a + rows], grad[a:a + rows], velocity[a:a + rows]
+        s = scratch[:len(p)]
+        v *= momentum
+        if weight_decay:
+            np.multiply(weight_decay, p, out=s)
+            s += g
+            v += s
+        else:
+            v += g
+        p -= np.multiply(lr, v, out=s)
 
 
 class SGDMomentum:

@@ -206,3 +206,47 @@ def pool_argmax(x, kernel, stride):
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]
     return windows.reshape(windows.shape[:4] + (-1,)).argmax(axis=-1)
+
+
+# The formulas below are the engine's own earlier versions of ops that were
+# since rewritten to move less memory.  The rewrites must keep every bit,
+# so each is pinned byte for byte against the formula it replaced.
+
+def relu_where(a):
+    """``relu``'s value and gradient mask, as np.where built them."""
+    mask = a <= 0
+    np.logical_not(mask, out=mask)
+    return np.where(mask, a, a.dtype.type(0)), mask
+
+
+def transposed_copy(a, axes):
+    """``transpose``'s value as one ``np.ascontiguousarray`` copy."""
+    return np.ascontiguousarray(a.transpose(axes))
+
+
+def sgd_momentum_step_whole(param, grad, velocity, lr, momentum, weight_decay):
+    """The SGD update as six passes over whole arrays, with one scratch array."""
+    s = np.empty_like(param)
+    velocity *= momentum
+    if weight_decay:
+        np.multiply(weight_decay, param, out=s)
+        s += grad
+        velocity += s
+    else:
+        velocity += grad
+    param -= np.multiply(lr, velocity, out=s)
+
+
+def max_pool_input_grad(x_shape, arg, g, kernel, stride):
+    """``max_pool2d``'s input gradient by ``np.add.at`` over the windows.
+
+    ``arg`` is each window's pick as a row-major tap index; windows add into
+    a zero gradient of the bottom/right padded input in (n, c, oy, ox) order.
+    """
+    n, c, h, w = x_shape
+    ho, wo = g.shape[2:]
+    hp, wp = max((ho - 1) * stride + kernel, h), max((wo - 1) * stride + kernel, w)
+    gin = np.zeros((n, c, hp, wp), dtype=g.dtype)
+    ni, ci, oy, ox = np.indices(g.shape)
+    np.add.at(gin, (ni, ci, oy * stride + arg // kernel, ox * stride + arg % kernel), g)
+    return gin[:, :, :h, :w]

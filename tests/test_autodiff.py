@@ -21,7 +21,15 @@ from qaxial.errors import (
 from qaxial.nn import Conv2d, Linear, Parameter
 from qaxial.quaternion import _EXPANSION
 
-from oracles import expand_quaternion_weight, naive_conv2d, naive_conv2d_grads, pool_argmax
+from oracles import (
+    expand_quaternion_weight,
+    max_pool_input_grad,
+    naive_conv2d,
+    naive_conv2d_grads,
+    pool_argmax,
+    relu_where,
+    transposed_copy,
+)
 
 
 def rand(shape, seed, dtype=np.float64, scale=1.0):
@@ -251,6 +259,26 @@ class TestBatchNorm:
             h.update(a.tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("shape,dtype", [
+        ((10, 128, 8, 8), np.float32), ((1, 32, 112, 112), np.float32),
+        ((3, 4, 5, 5), np.float64),
+    ])
+    def test_eval_output_without_tape_equals_recording_call(self, shape, dtype):
+        # a node that does not record writes its output over its normalized
+        # input; the bytes are those of a recording call, which keeps both
+        c = shape[1]
+        rng = np.random.default_rng(51)
+        x = rng.normal(0.5, 2.0, size=shape).astype(dtype)
+        gamma, beta = (Tensor(rng.normal(m, 0.3, size=c).astype(dtype), requires_grad=True)
+                       for m in (1.0, 0.0))
+        rm = rng.normal(size=c).astype(dtype)
+        rv = rng.uniform(0.5, 2.0, size=c).astype(dtype)
+        recorded = ad.batch_norm2d(Tensor(x, requires_grad=True), gamma, beta, rm, rv, False)
+        with ad.no_grad():
+            plain = ad.batch_norm2d(Tensor(x), gamma, beta, rm, rv, False)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert plain.data.tobytes() == recorded.data.tobytes()
+
 
 class TestElementwiseAndReductions:
     def test_softmax_uniform(self):
@@ -310,6 +338,90 @@ class TestElementwiseAndReductions:
         npt.assert_allclose(ad.avg_pool2d_2x2(x).data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
         with pytest.raises(ShapeError):
             ad.avg_pool2d_2x2(Tensor(np.zeros((1, 1, 3, 4))))
+
+
+def special_values(dtype):
+    """Signed zeros, infinities, subnormals, extremes and NaNs with payloads:
+    quiet, signalling and negative ones, built from their bit patterns."""
+    info = np.finfo(dtype)
+    ints = np.dtype(f"u{info.bits // 8}")
+    sign = 1 << (info.bits - 1)
+    exponent = ((1 << info.nexp) - 1) << info.nmant
+    quiet = 1 << (info.nmant - 1)
+    nans = np.array([exponent | quiet, exponent | quiet | 0x1234, exponent | 1,
+                     exponent | 0x2345, sign | exponent | quiet | 5, sign | exponent | 3],
+                    dtype=ints).view(dtype)
+    finite = [0.0, info.smallest_subnormal, info.tiny / 2, info.tiny, 1.0, info.max]
+    signed = np.array(finite + [np.inf], dtype=dtype)
+    return np.concatenate([signed, -signed, nans])
+
+
+def relu_layouts(dtype):
+    """Arrays of special values: contiguous runs of many lengths, and
+    reversed, strided and transposed views."""
+    rng = np.random.default_rng(70)
+    values = special_values(dtype)
+    for n in list(range(1, 70)) + [1000, 4099]:
+        a = rng.choice(values, size=n)
+        yield from (a, a[::-1], a[::3])
+    a = rng.choice(values, size=(3, 5, 7, 9))
+    yield from (a, a.transpose(0, 2, 3, 1), a[:, ::2, ::-1], a.transpose(3, 2, 1, 0))
+
+
+class TestRelu:
+    """``relu`` is ``np.maximum(a, 0)``, byte for byte the np.where it replaced."""
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_value_and_mask_equal_where(self, dtype):
+        for a in relu_layouts(dtype):
+            want, mask = relu_where(a)
+            for records in (True, False):
+                x = Tensor(np.zeros(1, dtype), requires_grad=True)
+                x.data = a
+                if records:
+                    out = ad.relu(x)
+                else:
+                    with ad.no_grad():
+                        out = ad.relu(x)
+                assert out.data.tobytes() == want.tobytes(), (a.shape, a.strides)
+                assert out.data.strides == want.strides, (a.shape, a.strides)
+                assert out.requires_grad == records
+            g = np.arange(1, a.size + 1, dtype=dtype).reshape(a.shape)
+            x = Tensor(np.zeros(1, dtype), requires_grad=True)
+            x.data = a
+            ad.relu(x)._backward_fn(g)
+            assert x.grad.tobytes() == (g * mask).tobytes()
+
+
+class TestTranspose:
+    """2-D transposes copy by tiles, byte for byte ``np.ascontiguousarray``."""
+
+    @pytest.mark.parametrize("shape,dtype", [
+        ((1000, 1024), np.float32), ((1024, 1000), np.float32), ((37, 4099), np.float32),
+        ((1000, 1024), np.float64), ((300, 257), np.float64), ((129, 129), np.float32),
+    ])
+    def test_equals_contiguous_copy(self, shape, dtype):
+        a = np.random.default_rng(71).normal(size=shape).astype(dtype)
+        x = Tensor(a, requires_grad=True)
+        out = ad.transpose(x, (1, 0))
+        assert out.data.flags.c_contiguous and not np.shares_memory(out.data, a)
+        assert out.data.tobytes() == transposed_copy(a, (1, 0)).tobytes()
+        backward((out * Tensor(np.ones(out.shape, dtype))).sum())
+        assert x.grad.shape == shape
+
+    def test_other_layouts_copy_as_before(self):
+        rng = np.random.default_rng(72)
+        a = rng.normal(size=(6, 300, 200)).astype(np.float32)
+        for axes in ((2, 0, 1), (0, 2, 1), (1, 0, 2)):
+            out = ad.transpose(Tensor(a), axes).data
+            assert out.flags.c_contiguous
+            assert out.tobytes() == transposed_copy(a, axes).tobytes()
+        # a transposed view of a 2-D array is copied as it was, too
+        x = Tensor(np.zeros(1, np.float32))
+        x.data = rng.normal(size=(300, 200)).astype(np.float32).T
+        out = ad.transpose(x, (1, 0)).data
+        assert out.flags.c_contiguous
+        assert out.tobytes() == transposed_copy(x.data, (1, 0)).tobytes()
 
 
 class TestPools:
@@ -389,6 +501,33 @@ class TestPools:
         assert x.grad.shape == x.shape
         npt.assert_array_equal(x.grad, gin)
         assert np.count_nonzero(x.grad) == g.size
+
+    @pytest.mark.parametrize("shape,kernel,stride", [
+        ((10, 128, 16, 16), 3, 2), ((2, 3, 9, 9), 2, 3), ((2, 3, 10, 9), 2, 3),
+        ((2, 4, 11, 13), 3, 1), ((3, 5, 12, 12), 3, 2),
+    ])
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_max_pool_grad_equals_add_at(self, shape, kernel, stride, dtype):
+        # the tap-by-tap backward against np.add.at over the windows, byte for
+        # byte; half the inputs tie heavily, and g holds NaN, infinities and
+        # signed zeros, which a share of g * mask would turn into NaN
+        rng = np.random.default_rng(kernel * 100 + stride + shape[2])
+        for ties in (False, True):
+            if ties:
+                data = rng.choice(np.array([-1.0, -0.0, 0.0, 2.0]), size=shape)
+            else:
+                data = rng.normal(size=shape)
+            x = Tensor(data.astype(dtype), requires_grad=True)
+            out = ad.max_pool2d(x, kernel, stride)
+            ho, wo = out.shape[2:]
+            arg = pool_argmax(x.data, kernel, stride)[:, :, :ho, :wo]
+            g = rng.normal(size=out.shape).astype(dtype)
+            g.reshape(-1)[:6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, -np.nan]
+            with np.errstate(invalid="ignore"):  # inf - inf where windows overlap
+                out._backward_fn(g)
+                want = max_pool_input_grad(shape, arg, g, kernel, stride)
+            assert x.grad.shape == shape and x.grad.strides == want.strides
+            assert x.grad.tobytes() == want.tobytes(), f"ties={ties}"
 
     def test_max_pool_kernel_below_one_raises(self):
         with pytest.raises(ContractError, match="kernel"):

@@ -246,6 +246,22 @@ class TestAxialAttentionOp:
         for name, a, b in zip(("out", "q", "k", "v", "r_q", "r_k", "r_v"), got, want):
             npt.assert_array_equal(a, b, err_msg=name)
 
+    def test_beyond_the_bitwise_bound_matches_dense_oracle(self):
+        # N = 2304 rows of span 14 and dim 32: each whole relative-term GEMM
+        # is N * L * dim = 1.03e6 multiply-adds, past the size up to which the
+        # op is bitwise the composed ops (the 224-px model's span-14 layers at
+        # batch 20).  There criterion 6's dense-oracle tolerance must hold, in
+        # float64.  The oracle is independent per batch row, so every ninth
+        # row is checked
+        rng = np.random.default_rng(15)
+        layer = AxialAttention1D(64, span=14, heads=1, rng=rng)
+        layer.to_dtype(np.float64)
+        assert layer.dim == 32
+        x = rng.normal(size=(2304, 64, 14))
+        assert x.shape[0] * layer.heads * 14 * layer.dim > 10**6
+        got = layer(Tensor(x)).data[::9]
+        assert np.abs(got - run_oracle(layer, x[::9])).max() < 1e-6
+
     def test_no_grad_holds_no_full_logits(self):
         bsz, heads, dim, span = 8, 25, 2, 56
         inputs = [Tensor(a, requires_grad=True)

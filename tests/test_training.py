@@ -38,6 +38,8 @@ from qaxial.training import (
 )
 from qaxial.zoo import ArchitectureSpec, build
 
+from oracles import sgd_momentum_step_whole
+
 
 # written by TrainConfig.to_text and checkpoint_save before they moved onto
 # qaxial.fields; the on-disk format must not change
@@ -307,6 +309,50 @@ class TestSgdStep:
         for a in (p, v):
             h.update(a.tobytes())
         assert h.hexdigest() == digest
+
+    # sha256 of the parameters and velocities after two float32 steps on
+    # arrays of three chunks and a remainder each, two of them with a
+    # transposed (non-contiguous) gradient; taken when the update ran as six
+    # passes over whole arrays
+    @pytest.mark.parametrize("weight_decay,digest", [
+        (0.0, "378961e9476a2cf9a22ad0274787f5cfa728618fbec9d830425f20ac82e98f51"),
+        (1e-4, "9a277147148bbeec099a6719a85d4435cd982057d43e2f56a912350348a80b25"),
+    ])
+    def test_chunked_update_is_pinned(self, weight_decay, digest):
+        rng = np.random.default_rng(61)
+        h = hashlib.sha256()
+        for shape in ((3 * 32768 + 5,), (350, 300), (50, 4, 64, 3, 3)):
+            p, v = (rng.normal(size=shape).astype(np.float32) for _ in range(2))
+            g = rng.normal(size=shape[::-1]).astype(np.float32).T
+            if len(shape) == 1:
+                g = np.ascontiguousarray(g)
+            else:
+                assert not g.flags.c_contiguous
+            rows = training.SGD_CHUNK_BYTES // p[0:1].nbytes
+            assert len(p) // rows == 3 and len(p) % rows, "three chunks and a remainder"
+            p_whole, g_whole, v_whole = p.copy(), g.copy(), v.copy()
+            for lr in (0.1, 0.03):
+                sgd_momentum_step(p, g, v, lr=lr, momentum=0.9, weight_decay=weight_decay)
+                sgd_momentum_step_whole(p_whole, g_whole, v_whole, lr, 0.9, weight_decay)
+            assert p.tobytes() == p_whole.tobytes() and v.tobytes() == v_whole.tobytes()
+            h.update(p.tobytes())
+            h.update(v.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_update_reaches_non_contiguous_arrays(self):
+        # chunks are axis-0 slices, which are views of any layout, so an
+        # update of a transposed param and velocity lands in them
+        rng = np.random.default_rng(62)
+        p, g, v = (rng.normal(size=(300, 700)).astype(np.float32).T for _ in range(3))
+        want = [a.copy() for a in (p, g, v)]
+        sgd_momentum_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=1e-4)
+        sgd_momentum_step_whole(*want, 0.1, 0.9, 1e-4)
+        assert p.tobytes() == want[0].tobytes() and v.tobytes() == want[2].tobytes()
+        for shape in ((), (0, 3), (3, 0)):
+            p, g = np.ones(shape, np.float32), np.ones(shape, np.float32)
+            v = np.zeros(shape, np.float32)
+            sgd_momentum_step(p, g, v, lr=0.5, momentum=0.9, weight_decay=0.0)
+            npt.assert_array_equal(p, 0.5)
 
     def test_bn_params_excluded_unless_flagged(self):
         gamma = Parameter(np.ones(3), kind="bn")
