@@ -111,35 +111,44 @@ def lr_schedule(config: TrainConfig, epoch: int) -> float:
 SGD_CHUNK_BYTES = 128 * 1024
 
 
+def _sgd_update(p, g, v, s, lr, momentum, weight_decay) -> None:
+    """The six in-place passes of one update, ``s`` their scratch."""
+    v *= momentum
+    if weight_decay:
+        np.multiply(weight_decay, p, out=s)
+        s += g
+        v += s
+    else:
+        v += g
+    p -= np.multiply(lr, v, out=s)
+
+
 def sgd_momentum_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
                       lr: float, momentum: float, weight_decay: float) -> None:
     """In-place update: v <- m*v + (grad + wd*param); param <- param - lr*v.
 
-    Runs chunk by chunk, each chunk about SGD_CHUNK_BYTES of whole rows
-    along axis 0.  Every op is elementwise, so each value sees the same
-    operations on the same operands as one pass over the whole array would
-    give it.  Slices on axis 0 are views whatever the layout, so the update
-    lands in ``param`` and ``velocity`` even when an array is not contiguous
-    (a flattening reshape would copy one and lose the update).
+    An array larger than SGD_CHUNK_BYTES runs chunk by chunk, each chunk
+    about SGD_CHUNK_BYTES of whole rows along axis 0; a smaller one runs
+    whole, with no per-chunk slicing.  Every op is elementwise, so each
+    value sees the same operations on the same operands either way.  Slices
+    on axis 0 are views whatever the layout, so the update lands in
+    ``param`` and ``velocity`` even when an array is not contiguous (a
+    flattening reshape would copy one and lose the update).
     """
     if param.shape != grad.shape or param.shape != velocity.shape:
         raise ContractError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, "
             f"velocity {velocity.shape}")
-    param, grad, velocity = np.atleast_1d(param, grad, velocity)  # views
-    rows = max(1, SGD_CHUNK_BYTES // max(1, param[0:1].nbytes))
+    if param.nbytes <= SGD_CHUNK_BYTES:
+        _sgd_update(param, grad, velocity, np.empty_like(param), lr, momentum,
+                    weight_decay)
+        return
+    rows = max(1, SGD_CHUNK_BYTES // param[0:1].nbytes)
     scratch = np.empty_like(param[:rows])  # one scratch chunk for every product
     for a in range(0, len(param), rows):
-        p, g, v = param[a:a + rows], grad[a:a + rows], velocity[a:a + rows]
-        s = scratch[:len(p)]
-        v *= momentum
-        if weight_decay:
-            np.multiply(weight_decay, p, out=s)
-            s += g
-            v += s
-        else:
-            v += g
-        p -= np.multiply(lr, v, out=s)
+        p = param[a:a + rows]
+        _sgd_update(p, grad[a:a + rows], velocity[a:a + rows], scratch[:len(p)],
+                    lr, momentum, weight_decay)
 
 
 class SGDMomentum:

@@ -348,6 +348,13 @@ class TestSgdStep:
         sgd_momentum_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=1e-4)
         sgd_momentum_step_whole(*want, 0.1, 0.9, 1e-4)
         assert p.tobytes() == want[0].tobytes() and v.tobytes() == want[2].tobytes()
+        # under one chunk the arrays update whole, in place
+        p, g, v = (rng.normal(size=(30, 70)).astype(np.float32).T for _ in range(3))
+        assert p.nbytes <= training.SGD_CHUNK_BYTES
+        want = [a.copy() for a in (p, g, v)]
+        sgd_momentum_step(p, g, v, lr=0.1, momentum=0.9, weight_decay=1e-4)
+        sgd_momentum_step_whole(*want, 0.1, 0.9, 1e-4)
+        assert p.tobytes() == want[0].tobytes() and v.tobytes() == want[2].tobytes()
         for shape in ((), (0, 3), (3, 0)):
             p, g = np.ones(shape, np.float32), np.ones(shape, np.float32)
             v = np.zeros(shape, np.float32)
